@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <deque>
 #include <map>
 #include <memory>
 
@@ -15,6 +14,47 @@ namespace {
 
 /// How long a positive ZooKeeper liveness check suppresses re-checking.
 constexpr SimDuration kAliveVerifyTtl = sim_ms(500);
+
+/// Vnode transfers one node drives at once: "the data retrieving threads
+/// number could be 16 or 8" (Section III.D).
+constexpr std::size_t kTransferWindow = 8;
+
+/// Runs `task(i, done)` for every i in [0, n) with at most kTransferWindow
+/// tasks in flight, then calls `all_done`. Only a completion callback ever
+/// calls `all_done`, so it runs exactly once. The window is owned by the
+/// in-flight callbacks alone and is freed with the last of them.
+struct TransferWindow {
+  using Task = std::function<void(std::size_t, std::function<void()>)>;
+
+  static void run(std::size_t n, Task task, std::function<void()> all_done) {
+    if (n == 0) {
+      all_done();
+      return;
+    }
+    pump(std::make_shared<TransferWindow>(
+        TransferWindow{n, 0, 0, std::move(task), std::move(all_done)}));
+  }
+
+  static void pump(const std::shared_ptr<TransferWindow>& w) {
+    while (w->next < w->n && w->outstanding < kTransferWindow) {
+      ++w->outstanding;
+      w->task(w->next++, [w] {
+        --w->outstanding;
+        if (w->next < w->n) {
+          pump(w);
+        } else if (w->outstanding == 0) {
+          w->all_done();
+        }
+      });
+    }
+  }
+
+  std::size_t n = 0;
+  std::size_t next = 0;
+  std::size_t outstanding = 0;
+  Task task;
+  std::function<void()> all_done;
+};
 
 }  // namespace
 
@@ -92,13 +132,6 @@ void SednaNode::start(ReadyCallback on_ready) {
                                              set_trace_context({});
                                              report_load();
                                            });
-                   if (config_.rebalance_interval > 0) {
-                     sim().schedule_periodic(config_.rebalance_interval,
-                                             [this] {
-                                               set_trace_context({});
-                                               rebalance_tick();
-                                             });
-                   }
                    if (config_.traffic_rebalance_interval > 0) {
                      traffic_rebalance_timer_.cancel();
                      traffic_rebalance_timer_ = sim().schedule_periodic(
@@ -149,96 +182,26 @@ void SednaNode::start_and_join(ReadyCallback on_ready) {
     }
     auto moves = ring::Rebalancer::plan_join(metadata_.table(), id());
     metrics_.counter("join.vnodes_planned").add(moves.size());
-    claim_vnodes(std::move(moves), 0, 0, on_ready);
-  });
-}
-
-void SednaNode::claim_vnodes(std::vector<ring::VnodeMove> moves,
-                             std::size_t next, std::uint32_t in_flight,
-                             ReadyCallback on_done) {
-  // Window of `takeover_parallelism` concurrent claims — the paper's
-  // parallel data-retrieving threads.
-  if (next >= moves.size() && in_flight == 0) {
-    on_done(Status::Ok());
-    return;
-  }
-  auto shared_moves =
-      std::make_shared<std::vector<ring::VnodeMove>>(std::move(moves));
-  auto pending = std::make_shared<std::uint32_t>(in_flight);
-  auto cursor = std::make_shared<std::size_t>(next);
-
-  // Pump-style scheduler: keep `takeover_parallelism` claims in flight.
-  // The lambda holds itself only weakly; the strong references live in the
-  // in-flight claim callbacks, so the closure is freed once the last claim
-  // completes (a self-capturing shared_ptr would never be released).
-  auto pump = std::make_shared<std::function<void()>>();
-  std::weak_ptr<std::function<void()>> weak_pump = pump;
-  *pump = [this, shared_moves, pending, cursor, on_done, weak_pump]() {
-    auto self = weak_pump.lock();
-    if (!self) return;
-    while (*cursor < shared_moves->size() &&
-           *pending < config_.takeover_parallelism) {
-      const auto move = (*shared_moves)[(*cursor)++];
-      ++*pending;
-      claim_one(move, [pending, self] {
-        --*pending;
-        (*self)();
-      });
-    }
-    if (*cursor >= shared_moves->size() && *pending == 0) {
-      on_done(Status::Ok());
-    }
-  };
-  (*pump)();
-}
-
-void SednaNode::claim_one(const ring::VnodeMove& move,
-                          std::function<void()> done) {
-  // CAS the vnode znode from the current owner to us, journal the change,
-  // then pull the data from the previous owner.
-  zk_.get(vnode_znode(move.vnode),
-          [this, move, done = std::move(done)](
-              const Result<std::pair<std::string, zk::ZnodeStat>>& got) {
-            if (!got.ok()) {
-              done();
-              return;
-            }
-            BinaryReader r(got->first);
-            const NodeId current = r.get_u32();
-            if (r.failed() || current != move.from) {
-              done();  // table changed under us; skip this vnode
-              return;
-            }
-            BinaryWriter w;
-            w.put_u32(id());
-            zk_.set(vnode_znode(move.vnode), std::move(w).take(),
-                    got->second.version,
-                    [this, move, done](const Result<zk::ZnodeStat>& set) {
-                      if (!set.ok()) {
-                        done();  // lost the race
-                        return;
-                      }
-                      metadata_.apply_local(move.vnode, id());
-                      metrics_.counter("join.vnodes_claimed").add(1);
-                      append_change_journal(
-                          move.vnode, id(), [this, move, done] {
-                            fetch_vnode_from(
-                                move.vnode, {move.from}, 0,
-                                [this, move, done](bool fetched,
-                                                   std::uint64_t) {
-                                  if (fetched) {
-                                    // The old owner may now drop its
-                                    // redundant copy of the slice.
-                                    PurgeVnodeRequest purge{move.vnode,
-                                                            id()};
-                                    send_oneway(move.from, kMsgPurgeVnode,
-                                                purge.encode());
-                                  }
-                                  done();
-                                });
+    // Each steal is a full migration with us as the destination, so a
+    // vnode changes hands only after its data has arrived. A move that
+    // fails or goes stale leaves the vnode with its current owner.
+    const std::size_t n = moves.size();
+    TransferWindow::run(
+        n,
+        [this, moves = std::move(moves)](std::size_t i,
+                                         std::function<void()> done) {
+          const ring::VnodeMove& move = moves[i];
+          set_trace_context({});  // one trace root per migration
+          begin_migration(move.vnode, move.from,
+                          [this, done](const MigrateVnodeReply& rep) {
+                            if (rep.status == StatusCode::kOk) {
+                              metrics_.counter("join.vnodes_claimed").add(1);
+                            }
+                            done();
                           });
-                    });
-          });
+        },
+        [on_ready] { on_ready(Status::Ok()); });
+  });
 }
 
 void SednaNode::schedule_flush() {
@@ -566,51 +529,31 @@ void SednaNode::on_crash() {
 
 void SednaNode::hydrate_after_restart(std::function<void()> done) {
   needs_hydration_ = false;
-  auto todo = std::make_shared<std::deque<VnodeId>>();
+  std::vector<VnodeId> todo;
   const std::uint32_t total = metadata_.table().total_vnodes();
   for (VnodeId v = 0; v < total; ++v) {
     const auto replicas = metadata_.table().replicas_for_vnode(v);
     if (std::find(replicas.begin(), replicas.end(), id()) !=
         replicas.end()) {
-      todo->push_back(v);
+      todo.push_back(v);
     }
   }
-  if (todo->empty()) {
-    done();
-    return;
-  }
-  const std::size_t fanout =
-      config_.restart_hydration_fanout > 0 ? config_.restart_hydration_fanout
-                                           : 1;
-  auto outstanding = std::make_shared<std::size_t>(0);
-  auto pump = std::make_shared<std::function<void()>>();
-  // The pump holds only a weak self-reference (a strong one would be a
-  // shared_ptr cycle and leak); each in-flight fetch callback pins it.
-  *pump = [this, todo, outstanding, fanout,
-           weak = std::weak_ptr<std::function<void()>>(pump),
-           done = std::move(done)] {
-    while (!todo->empty() && *outstanding < fanout) {
-      const VnodeId v = todo->front();
-      todo->pop_front();
-      ++*outstanding;
-      fetch_vnode_from(
-          v, metadata_.table().replicas_for_vnode(v), 0,
-          [this, todo, outstanding, pump = weak.lock(),
-           done](bool ok, std::uint64_t) {
-            --*outstanding;
-            metrics_
-                .counter(ok ? "restart.vnodes_hydrated"
-                            : "restart.hydration_failed")
-                .add(1);
-            if (todo->empty() && *outstanding == 0) {
-              done();
-              return;
-            }
-            (*pump)();
-          });
-    }
-  };
-  (*pump)();
+  const std::size_t n = todo.size();
+  TransferWindow::run(
+      n,
+      [this, todo = std::move(todo)](std::size_t i,
+                                     std::function<void()> fetched) {
+        const VnodeId v = todo[i];
+        fetch_vnode_from(v, metadata_.table().replicas_for_vnode(v), 0,
+                         [this, fetched](bool ok, std::uint64_t) {
+                           metrics_
+                               .counter(ok ? "restart.vnodes_hydrated"
+                                           : "restart.hydration_failed")
+                               .add(1);
+                           fetched();
+                         });
+      },
+      std::move(done));
 }
 
 StatusCode SednaNode::apply_write(const WriteRequest& req) {
@@ -1449,90 +1392,6 @@ void SednaNode::append_change_journal(VnodeId vnode, NodeId owner,
              });
 }
 
-void SednaNode::rebalance_tick() {
-  if (!alive() || !ready_) return;
-  zk_.children(
-      kZkRealNodes, [this](const Result<std::vector<std::string>>& kids) {
-        if (!kids.ok()) return;
-        std::vector<NodeId> live;
-        for (const auto& name : kids.value()) {
-          if (name.rfind("node-", 0) != 0) continue;
-          live.push_back(static_cast<NodeId>(
-              std::strtoul(name.c_str() + 5, nullptr, 10)));
-        }
-        // Single deterministic actor: the lowest live node id.
-        if (live.empty() ||
-            *std::min_element(live.begin(), live.end()) != id()) {
-          return;
-        }
-        auto moves = ring::Rebalancer::plan_rebalance(
-            metadata_.table(), config_.rebalance_tolerance);
-        // Only shuffle between live nodes; dead holders are the recovery
-        // path's business, not ours.
-        std::erase_if(moves, [&live](const ring::VnodeMove& m) {
-          return std::find(live.begin(), live.end(), m.from) == live.end() ||
-                 std::find(live.begin(), live.end(), m.to) == live.end();
-        });
-        if (moves.empty()) return;
-        if (moves.size() > config_.rebalance_max_moves) {
-          moves.resize(config_.rebalance_max_moves);
-        }
-        metrics_.counter("rebalance.rounds").add(1);
-        execute_moves(std::make_shared<std::vector<ring::VnodeMove>>(
-                          std::move(moves)),
-                      0);
-      });
-}
-
-void SednaNode::execute_moves(
-    std::shared_ptr<std::vector<ring::VnodeMove>> moves, std::size_t next) {
-  if (next >= moves->size()) return;
-  execute_move((*moves)[next], [this, moves, next] {
-    execute_moves(moves, next + 1);
-  });
-}
-
-void SednaNode::execute_move(const ring::VnodeMove& move,
-                             std::function<void()> done) {
-  // CAS-guarded reassignment, mirroring the join/recovery flows, but
-  // initiated by the balancer on behalf of a third node.
-  zk_.get(vnode_znode(move.vnode),
-          [this, move, done = std::move(done)](
-              const Result<std::pair<std::string, zk::ZnodeStat>>& got) {
-            if (!got.ok()) {
-              done();
-              return;
-            }
-            BinaryReader r(got->first);
-            const NodeId current = r.get_u32();
-            if (r.failed() || current != move.from) {
-              done();  // the table changed under the plan
-              return;
-            }
-            BinaryWriter w;
-            w.put_u32(move.to);
-            zk_.set(vnode_znode(move.vnode), std::move(w).take(),
-                    got->second.version,
-                    [this, move, done](const Result<zk::ZnodeStat>& set) {
-                      if (!set.ok()) {
-                        done();
-                        return;
-                      }
-                      metadata_.apply_local(move.vnode, move.to);
-                      metrics_.counter("rebalance.moves").add(1);
-                      append_change_journal(
-                          move.vnode, move.to, [this, move, done] {
-                            TakeoverRequest req;
-                            req.vnode = move.vnode;
-                            req.sources = {move.from};
-                            send_oneway(move.to, kMsgTakeoverVnode,
-                                        req.encode());
-                            done();
-                          });
-                    });
-          });
-}
-
 void SednaNode::handle_fetch_vnode(const sim::Message& msg) {
   auto req = FetchVnodeRequest::decode(msg.payload);
   FetchVnodeReply rep;
@@ -1618,6 +1477,9 @@ void SednaNode::purge_local_vnode(VnodeId vnode) {
 }
 
 void SednaNode::handle_takeover(const sim::Message& msg) {
+  // Recovery only: the coordinator has already CASed a dead owner's vnode
+  // to us, since there is no live owner to snapshot from. Moves off a
+  // live owner go through begin_migration instead.
   auto req = TakeoverRequest::decode(msg.payload);
   if (!req.ok()) return;
   const VnodeId vnode = req->vnode;
@@ -1627,10 +1489,9 @@ void SednaNode::handle_takeover(const sim::Message& msg) {
     metrics_.counter(ok ? "transfer.takeovers_ok" : "transfer.takeovers_failed")
         .add(1);
     if (!ok) return;
-    // Invite ex-holders to drop their copies. Each source re-checks its
-    // own membership in the slice's replica set before deleting anything,
-    // so this is a no-op for sources that remain replicas (recovery) and
-    // a cleanup for true ex-owners (rebalancing).
+    // Invite the sources to drop their copies. Each re-checks its own
+    // membership in the slice's replica set before deleting anything, so
+    // a survivor that is still a replica keeps its copy.
     PurgeVnodeRequest purge{vnode, id()};
     for (NodeId source : sources) {
       if (source != id() && network().node_up(source)) {

@@ -14,10 +14,16 @@
 //                             gone, it CASes the vnode to a new owner,
 //                             journals the change, and tells the new owner
 //                             to pull the slice from healthy replicas
-//                             (Sections III.C/III.D);
-//   * join protocol         — a late-joining node steals vnodes with a
-//                             configurable number of parallel "data
-//                             retrieving threads" (Section III.D).
+//                             (Sections III.C/III.D). With no live owner
+//                             to snapshot from, recovery cuts over first
+//                             and copies after;
+//   * vnode migration       — every move off a *live* owner (a join's
+//                             steals and the traffic rebalancer's moves)
+//                             runs the same protocol: snapshot, Merkle
+//                             catch-up, versioned ZK CAS, then drain and
+//                             purge. A late joiner runs 8 at a time, the
+//                             paper's parallel "data retrieving threads"
+//                             (Section III.D).
 #pragma once
 
 #include <cstdint>
@@ -36,7 +42,6 @@
 #include "common/heavy_hitters.h"
 #include "common/metrics.h"
 #include "ring/imbalance.h"
-#include "ring/rebalancer.h"
 #include "sim/host.h"
 #include "store/local_store.h"
 #include "wal/persistence.h"
@@ -50,23 +55,9 @@ struct SednaNodeConfig {
   wal::PersistenceConfig persistence;
   /// Snapshot cadence under PersistMode::kPeriodicFlush.
   SimDuration flush_interval = sim_sec(30);
-  /// Parallel vnode-claim transfers during join ("the data retrieving
-  /// threads number could be 16 or 8", Section III.D).
-  std::uint32_t takeover_parallelism = 8;
   /// Push the imbalance-table row to ZooKeeper this often (Section III.B).
   SimDuration load_report_interval = sim_sec(5);
-  /// Imbalance-driven rebalancing (the "data balance" pluggable module of
-  /// Fig. 2): the lowest-id live node periodically checks the vnode
-  /// spread and shifts slices from the most to the least loaded node.
-  /// 0 disables (the default — membership churn alone keeps the paper's
-  /// clusters balanced; enable for long-lived skew).
-  SimDuration rebalance_interval = 0;
-  /// Move only while max-min vnode count exceeds this.
-  std::uint32_t rebalance_tolerance = 2;
-  /// Moves executed per rebalance round (bounds transfer burstiness).
-  std::uint32_t rebalance_max_moves = 4;
-
-  // --- Traffic-aware rebalancer (closes the telemetry loop) -------------
+  // --- Traffic-aware rebalancer (the "data balance" module of Fig. 2) ---
   /// The lowest-id live node periodically reads every node's imbalance
   /// row from ZooKeeper and migrates the hottest vnodes of overloaded
   /// nodes to the coldest *healthy* nodes via the multi-phase migration
@@ -122,8 +113,6 @@ struct SednaNodeConfig {
   /// anti-entropy — a rolling restart then strips a replica set bare one
   /// node at a time and reads start answering confident not-found.
   bool restart_hydration = true;
-  /// Concurrent slice fetches during hydration.
-  std::uint32_t restart_hydration_fanout = 8;
 
   // --- Consistency observability (staleness auditor + t-visibility) -----
   /// Coordinator-side staleness sampling, per-vnode replication-lag
@@ -146,8 +135,10 @@ class SednaNode : public sim::Host {
   /// session, metadata load, ephemeral registration, load reporting.
   void start(ReadyCallback on_ready);
 
-  /// Runtime join: additionally claims a fair share of vnodes from the
-  /// current holders, pulling their data in parallel.
+  /// Runtime join: additionally migrates a fair share of vnodes from the
+  /// current holders (ring::Rebalancer::plan_join), 8 at a time, each
+  /// through begin_migration. Ready once every planned move has settled;
+  /// "join.vnodes_claimed" counts the committed cutovers.
   void start_and_join(ReadyCallback on_ready);
 
   [[nodiscard]] bool ready() const { return ready_; }
@@ -198,6 +189,8 @@ class SednaNode : public sim::Host {
   /// The reply's status is kOk on committed cutover, kRefused when the
   /// plan went stale, other codes on pre-cutover failure (ownership then
   /// stays with `from`). Public so tests can drive single migrations.
+  /// Destination of the leader's traffic-rebalancer moves and of a
+  /// joiner's steals.
   void begin_migration(VnodeId vnode, NodeId from,
                        std::function<void(const MigrateVnodeReply&)> done);
 
@@ -242,6 +235,8 @@ class SednaNode : public sim::Host {
   void handle_replica_read(const sim::Message& msg);
   // Recovery / transfer paths.
   void handle_fetch_vnode(const sim::Message& msg);
+  /// Recovery only: pull a dead owner's slice from the survivors after
+  /// the recovering coordinator has already cut ownership over to us.
   void handle_takeover(const sim::Message& msg);
   void handle_purge_vnode(const sim::Message& msg);
   void handle_scan(const sim::Message& msg);
@@ -274,17 +269,12 @@ class SednaNode : public sim::Host {
                           const store::CausalRecord& fresh,
                           const std::vector<NodeId>& stale);
 
-  /// Join: claim the vnodes in `moves` with bounded parallelism.
-  void claim_vnodes(std::vector<ring::VnodeMove> moves, std::size_t next,
-                    std::uint32_t in_flight, ReadyCallback on_done);
-  void claim_one(const ring::VnodeMove& move, std::function<void()> done);
-
+  /// Restart hydration: re-fetch every owned vnode slice (8 at a time),
+  /// then invoke done. Best effort — unreachable slices are left to read
+  /// repair and anti-entropy.
+  void hydrate_after_restart(std::function<void()> done);
   /// Pulls `vnode`'s items from the first healthy node in `sources`.
   /// `done` receives success plus the approximate payload bytes applied.
-  /// Restart hydration: re-fetch every owned vnode slice (bounded
-  /// concurrency), then invoke done. Best effort — unreachable slices are
-  /// left to read repair and anti-entropy.
-  void hydrate_after_restart(std::function<void()> done);
   void fetch_vnode_from(VnodeId vnode, std::vector<NodeId> sources,
                         std::size_t idx,
                         std::function<void(bool, std::uint64_t)> done);
@@ -346,12 +336,6 @@ class SednaNode : public sim::Host {
                            std::function<void()> done);
   void pull_key(NodeId peer, const std::string& key, bool want_list,
                 bool want_causal, std::function<void()> done);
-
-  /// Rebalance daemon: runs on the lowest-id live node only.
-  void rebalance_tick();
-  void execute_moves(std::shared_ptr<std::vector<ring::VnodeMove>> moves,
-                     std::size_t next);
-  void execute_move(const ring::VnodeMove& move, std::function<void()> done);
 
   // ---- Traffic-aware rebalancer ------------------------------------------
   /// Leader tick (lowest live id): gather the imbalance rows from

@@ -118,38 +118,6 @@ std::vector<VnodeMove> Rebalancer::plan_leave(const VnodeTable& table,
   return moves;
 }
 
-std::vector<VnodeMove> Rebalancer::plan_rebalance(const VnodeTable& table,
-                                                  std::uint32_t tolerance) {
-  std::vector<VnodeMove> moves;
-  std::map<NodeId, std::uint32_t> counts;
-  for (const auto& [node, count] : table.counts()) counts[node] = count;
-  if (counts.size() < 2) return moves;
-
-  // Working copy of per-node vnode lists so repeated moves stay coherent.
-  std::map<NodeId, std::vector<VnodeId>> holdings;
-  for (const auto& [node, count] : counts) {
-    holdings[node] = table.vnodes_of(node);
-  }
-
-  for (;;) {
-    auto hottest = counts.begin();
-    auto coldest = counts.begin();
-    for (auto it = counts.begin(); it != counts.end(); ++it) {
-      if (it->second > hottest->second) hottest = it;
-      if (it->second < coldest->second) coldest = it;
-    }
-    if (hottest->second - coldest->second <= tolerance) break;
-    auto& from_list = holdings[hottest->first];
-    const VnodeId v = from_list.back();
-    from_list.pop_back();
-    holdings[coldest->first].push_back(v);
-    moves.push_back({v, hottest->first, coldest->first});
-    --hottest->second;
-    ++coldest->second;
-  }
-  return moves;
-}
-
 void Rebalancer::apply(VnodeTable& table,
                        const std::vector<VnodeMove>& moves) {
   for (const auto& move : moves) table.assign(move.vnode, move.to);

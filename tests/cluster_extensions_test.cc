@@ -1,5 +1,5 @@
 // Tests for the production-hardening extensions: vnode purge after
-// handoff, the imbalance-driven rebalance daemon, and batch client APIs.
+// handoff and batch client APIs.
 #include <gtest/gtest.h>
 
 #include "cluster/sedna_cluster.h"
@@ -75,71 +75,6 @@ TEST(Purge, ReplicaSetMembersNeverPurgeTheirCopies) {
     if (cluster.node(i).local_store().read_latest("keepme").ok()) ++copies;
   }
   EXPECT_EQ(copies, 3u);
-}
-
-TEST(Rebalance, DaemonFlattensSkewedCluster) {
-  SednaClusterConfig cfg = base_config();
-  // Skew: node 100 owns half the ring; 101/102 split most of the rest;
-  // 103-105 own almost nothing.
-  cfg.initial_owners = {100, 100, 100, 101, 101, 102, 102, 103};
-  cfg.node_template.rebalance_interval = sim_sec(2);
-  cfg.node_template.rebalance_tolerance = 2;
-  cfg.node_template.rebalance_max_moves = 16;
-  SednaCluster cluster(cfg);
-  ASSERT_TRUE(cluster.boot().ok());
-
-  auto& client = cluster.make_client();
-  for (int i = 0; i < 200; ++i) {
-    ASSERT_TRUE(cluster.write_latest(client, "rb-" + std::to_string(i),
-                                     "v").ok());
-  }
-
-  const auto initial_counts = cluster.node(0).metadata().table().counts();
-  std::uint32_t initial_max = 0, initial_min = UINT32_MAX;
-  for (const auto& [node, count] : initial_counts) {
-    initial_max = std::max(initial_max, count);
-    initial_min = std::min(initial_min, count);
-  }
-  ASSERT_GT(initial_max, initial_min + 10);  // genuinely skewed
-
-  // Let the daemon run several rounds.
-  cluster.run_for(sim_sec(40));
-
-  const auto counts = cluster.node(0).metadata().table().counts();
-  std::uint32_t final_max = 0, final_min = UINT32_MAX;
-  for (const auto& [node, count] : counts) {
-    final_max = std::max(final_max, count);
-    final_min = std::min(final_min, count);
-  }
-  EXPECT_LE(final_max - final_min,
-            cfg.node_template.rebalance_tolerance + 2);
-
-  // All data survived the reshuffling.
-  for (int i = 0; i < 200; ++i) {
-    auto got = cluster.read_latest(client, "rb-" + std::to_string(i));
-    ASSERT_TRUE(got.ok()) << i;
-    EXPECT_EQ(got->value, "v");
-  }
-
-  // Exactly one daemon acted (the lowest-id node).
-  std::uint64_t rounds = 0;
-  for (std::size_t i = 1; i < cluster.data_node_count(); ++i) {
-    rounds +=
-        cluster.node(i).metrics().counter("rebalance.rounds").value();
-  }
-  EXPECT_EQ(rounds, 0u);
-  EXPECT_GT(cluster.node(0).metrics().counter("rebalance.rounds").value(),
-            0u);
-}
-
-TEST(Rebalance, NoOpOnBalancedCluster) {
-  SednaClusterConfig cfg = base_config();
-  cfg.node_template.rebalance_interval = sim_sec(2);
-  SednaCluster cluster(cfg);
-  ASSERT_TRUE(cluster.boot().ok());
-  cluster.run_for(sim_sec(10));
-  EXPECT_EQ(cluster.node(0).metrics().counter("rebalance.moves").value(),
-            0u);
 }
 
 TEST(BatchApi, WriteBatchAllSucceedAndAreReadable) {

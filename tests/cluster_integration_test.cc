@@ -3,6 +3,8 @@
 // recovery, runtime join, and client routing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "cluster/sedna_cluster.h"
 
 namespace sedna::cluster {
@@ -194,18 +196,42 @@ TEST(ClusterMembership, NewNodeJoinsAndTakesLoad) {
         cluster.write_latest(client, "j" + std::to_string(i), "v").ok());
   }
 
+  const ring::VnodeTable before = cluster.node(0).metadata().table();
   auto joined = cluster.join_new_node();
   ASSERT_TRUE(joined.ok()) << joined.status().to_string();
   cluster.run_for(sim_sec(1));
 
   // The joiner should now own roughly total/(n+1) vnodes.
-  const auto& table =
-      cluster.node(cluster.data_node_count() - 1).metadata().table();
+  SednaNode& joiner = cluster.node(cluster.data_node_count() - 1);
+  const auto& table = joiner.metadata().table();
   const auto counts = table.counts();
   const auto it = counts.find(joined.value());
   ASSERT_NE(it, counts.end());
   EXPECT_GT(it->second, 128u / 14);  // clearly nonzero share
   EXPECT_LE(it->second, 128u / 7 + 8);
+
+  // Every vnode the joiner owns arrived through one committed migration.
+  const auto claimed = joiner.metrics().counter("join.vnodes_claimed").value();
+  EXPECT_EQ(
+      joiner.metrics().counter("rebalance.migrations_completed").value(),
+      claimed);
+  EXPECT_EQ(claimed, it->second);
+
+  // A former owner that left a stolen slice's replica set was purged of it.
+  for (const VnodeId v : table.vnodes_of(joined.value())) {
+    const NodeId from = before.owner(v);
+    const auto reps = table.replicas_for_vnode(v);
+    if (std::find(reps.begin(), reps.end(), from) != reps.end()) continue;
+    for (std::size_t n = 0; n < cluster.data_node_count(); ++n) {
+      if (cluster.node(n).id() != from) continue;
+      for (int i = 0; i < 100; ++i) {
+        const std::string key = "j" + std::to_string(i);
+        if (table.vnode_for_key(key) != v) continue;
+        EXPECT_FALSE(cluster.node(n).local_store().read_latest(key).ok())
+            << "node " << from << " kept " << key << " of vnode " << v;
+      }
+    }
+  }
 
   // All data still readable.
   for (int i = 0; i < 100; ++i) {

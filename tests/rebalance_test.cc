@@ -3,7 +3,8 @@
 // guard, isolate path), a Zipf-load convergence property, the end-to-end
 // multi-phase migration protocol, and a fault-injection suite (source
 // crash mid-snapshot, destination crash mid-migration, ZooKeeper
-// partition during cutover, writes racing the migration).
+// partition during cutover, writes racing the migration), repeated for a
+// join (joiner crash at every offset, traffic racing the join).
 //
 // The safety invariant every fault test asserts: an acked write stays
 // readable at quorum after recovery, ownership never forks (no vnode
@@ -14,7 +15,9 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <memory>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -22,6 +25,7 @@
 #include "cluster/rebalancer.h"
 #include "cluster/sedna_cluster.h"
 #include "ring/imbalance.h"
+#include "ring/rebalancer.h"
 #include "ring/vnode_table.h"
 
 namespace sedna::cluster {
@@ -610,6 +614,164 @@ TEST(MigrationFaults, WritesRacingTheMigrationAllSurvive) {
   expect_single_owner(cluster, pick.vnode, pick.dst);
   ASSERT_GE(acked.size(), 40u);
   expect_all_readable(cluster, client, acked, "after racing writes");
+}
+
+// ---- join through the migration protocol --------------------------------
+
+/// A data node started outside the harness, so a test can crash it or race
+/// traffic against it mid-join (join_new_node runs the join to the end).
+std::unique_ptr<SednaNode> make_joiner(SednaCluster& cluster) {
+  SednaNodeConfig cfg = cluster.config().node_template;
+  cfg.zk_ensemble = cluster.zk_ids();
+  const NodeId id = static_cast<NodeId>(100 + cluster.data_node_count());
+  return std::make_unique<SednaNode>(cluster.network(), id, cfg);
+}
+
+TEST(JoinFaults, JoinerCrashAtAnyOffsetLosesNoAckedWrite) {
+  // A join on this ring takes a few ms of sim time. Sweep the crash
+  // through it, from before the ZooKeeper session opens to after ready.
+  std::size_t no_claims = 0, some_claims = 0, joined = 0;
+  for (SimDuration offset = 0; offset <= sim_ms(6); offset += sim_us(100)) {
+    SCOPED_TRACE("crash " + std::to_string(offset) + " us into the join");
+    SednaCluster cluster(migration_config(51));
+    ASSERT_TRUE(cluster.boot().ok());
+    auto& client = cluster.make_client();
+    std::map<std::string, std::string> acked;
+    for (int i = 0; i < 64; ++i) {
+      const std::string key = "jc-" + std::to_string(i);
+      ASSERT_TRUE(cluster.write_latest(client, key, "v").ok());
+      acked[key] = "v";
+    }
+
+    auto joiner = make_joiner(cluster);
+    bool ready = false;
+    joiner->start_and_join([&](const Status&) { ready = true; });
+    cluster.run_for(offset);
+    const auto claimed =
+        joiner->metrics().counter("join.vnodes_claimed").value();
+    if (ready) {
+      ++joined;
+    } else if (claimed == 0) {
+      ++no_claims;
+    } else {
+      ++some_claims;
+    }
+    joiner->crash();
+    cluster.run_for(sim_sec(1));
+    expect_all_readable(cluster, client, acked, "joiner down");
+
+    joiner->restart();
+    std::optional<Status> back;
+    joiner->start([&](const Status& st) { back = st; });
+    ASSERT_TRUE(cluster.run_until([&] { return back.has_value(); }));
+    ASSERT_TRUE(back->ok());
+    cluster.run_for(sim_sec(1));
+    expect_all_readable(cluster, client, acked, "after joiner restart");
+
+    // Reads against the restarting joiner may have moved its vnodes on
+    // through recovery; give the journal a full lease period to spread
+    // that, then the cluster's nodes must agree on every owner. The
+    // joiner's own view is left out: a crash while its cutover CAS is in
+    // flight can commit the CAS with no journal entry (ROADMAP item 5).
+    cluster.run_for(sim_sec(10));
+    const ring::VnodeTable table = cluster.node(0).metadata().table();
+    for (VnodeId v = 0; v < table.total_vnodes(); ++v) {
+      expect_single_owner(cluster, v, table.owner(v));
+    }
+  }
+  // The sweep really spans the join.
+  EXPECT_GT(no_claims, 0u);
+  EXPECT_GT(some_claims, 0u);
+  EXPECT_GT(joined, 0u);
+}
+
+TEST(JoinFaults, ReadsAndWritesRacingTheJoinSeeNoStaleOrLostValue) {
+  SednaCluster cluster(migration_config(52));
+  ASSERT_TRUE(cluster.boot().ok());
+  auto& client = cluster.make_client();
+  auto joiner = make_joiner(cluster);
+  const ring::VnodeTable before = cluster.node(0).metadata().table();
+
+  // Three keys on every vnode the joiner will steal, plus keys that stay.
+  const auto moves = ring::Rebalancer::plan_join(before, joiner->id());
+  ASSERT_FALSE(moves.empty());
+  std::vector<std::string> keys;
+  for (const ring::VnodeMove& move : moves) {
+    int found = 0;
+    for (int i = 0; found < 3 && i < 100000; ++i) {
+      const std::string key = "jr-" + std::to_string(i);
+      if (before.vnode_for_key(key) != move.vnode) continue;
+      keys.push_back(key);
+      ++found;
+    }
+  }
+  for (int i = 0; i < 8; ++i) keys.push_back("stay-" + std::to_string(i));
+
+  // Values are per-key sequence numbers; one write per key in flight, so
+  // a later acked sequence always carries the later timestamp.
+  std::map<std::string, int> acked, issued;
+  std::set<std::string> writing;
+  for (const auto& key : keys) {
+    ASSERT_TRUE(cluster.write_latest(client, key, "0").ok());
+    acked[key] = issued[key] = 0;
+  }
+
+  bool ready = false;
+  joiner->start_and_join([&](const Status&) { ready = true; });
+  std::size_t reads = 0, stale = 0, failed = 0, writes = 0;
+  for (std::size_t tick = 0; !ready; ++tick) {
+    ASSERT_LT(tick, 20000u) << "join never completed";
+    const std::string wkey = keys[tick % keys.size()];
+    if (!writing.contains(wkey)) {
+      writing.insert(wkey);
+      const int seq = ++issued[wkey];
+      client.write_latest(wkey, std::to_string(seq),
+                          [&, wkey, seq](const Status& st) {
+                            writing.erase(wkey);
+                            if (st.ok()) {
+                              acked[wkey] = std::max(acked[wkey], seq);
+                              ++writes;
+                            }
+                          });
+    }
+    // The floor is what was acked when the read was issued.
+    const std::string rkey = keys[(tick * 7 + 3) % keys.size()];
+    const int floor = acked[rkey];
+    client.read_latest(rkey, [&, rkey, floor](
+                                 const Result<store::VersionedValue>& got) {
+      if (got.ok() && std::stoi(got->value) >= floor) {
+        ++reads;
+        return;
+      }
+      if (!got.ok() && !got.status().is(StatusCode::kNotFound)) {
+        ++failed;
+        return;
+      }
+      ++stale;
+      ADD_FAILURE() << rkey << " read " << (got.ok() ? got->value : "nothing")
+                    << " after sequence " << floor << " was acked";
+    });
+    cluster.run_for(sim_us(50));
+  }
+  cluster.run_for(sim_sec(1));  // in-flight operations settle
+  EXPECT_EQ(stale, 0u);
+  EXPECT_EQ(failed, 0u);
+  EXPECT_GT(reads, 20u);
+  EXPECT_GT(writes, 20u);
+  EXPECT_TRUE(writing.empty());
+
+  // The join moved every planned vnode, and no acked write was lost.
+  EXPECT_EQ(joiner->metrics().counter("join.vnodes_claimed").value(),
+            moves.size());
+  cluster.run_for(sim_sec(2));
+  for (const ring::VnodeMove& move : moves) {
+    expect_single_owner(cluster, move.vnode, joiner->id());
+  }
+  for (const auto& key : keys) {
+    auto got = cluster.read_latest(client, key);
+    ASSERT_TRUE(got.ok()) << "lost acked key " << key;
+    EXPECT_GE(std::stoi(got->value), acked[key]) << key;
+  }
 }
 
 // ---- leader-driven convergence ------------------------------------------

@@ -3,8 +3,9 @@
 # the failure drill twice and diffs its monitor output (determinism gate:
 # the dashboard, time-series CSV, latency-attribution CSV and Prometheus
 # dump must be byte-identical), lints the Prometheus dump with promlint,
-# then repeats the test run under AddressSanitizer + UBSan via
-# run_sanitized.sh.
+# runs the rebalance ablation and chaos scenario suite twice each and
+# diffs them, runs the benchmark's determinism self-check, then repeats
+# the test run under AddressSanitizer + UBSan via run_sanitized.sh.
 # Usage: tests/run_all.sh [extra ctest args...]
 set -euo pipefail
 
@@ -98,5 +99,11 @@ diff "${drill_tmp}/ss1/scenario_incidents.csv" \
 "${build_dir}/tests/promlint" "${drill_tmp}/ss1/scenario_suite_metrics.prom" \
                               "${drill_tmp}/ss1/ablation_dvv_metrics.prom"
 echo "scenario suite determinism gate: OK"
+
+# Benchmark self-check: builds perfbench/ into .bench_build/ and runs a
+# reduced version of every workload twice traced and once untraced; each
+# sim-clock value and count must match across the runs (durable_churn's
+# crash, WAL-replay restart and join included).
+python3 "${repo_root}/perfbench/selfcheck.py"
 
 "${repo_root}/tests/run_sanitized.sh" "$@"
