@@ -262,7 +262,7 @@ struct TransferItem {
   store::VersionedValue latest;
   std::vector<store::SourceValue> value_list;
   /// Causal record; empty for LWW items. Carried in FetchVnodeReply's
-  /// trailing parallel section (the per-item layout is not individually
+  /// trailing sparse section (the per-item layout is not individually
   /// framed, so it cannot grow in place without breaking old readers).
   store::CausalRecord causal;
 };
@@ -304,20 +304,12 @@ struct FetchVnodeReply {
                        o2.put_u64(sv.ts);
                      });
     });
-    // Trailing parallel causal section: (item index, record) pairs for
-    // the items that have causal state; omitted entirely when none do.
-    std::uint32_t causal_count = 0;
-    for (const auto& item : items) {
-      if (!item.causal.empty()) ++causal_count;
-    }
-    if (causal_count > 0) {
-      w.put_u32(causal_count);
-      for (std::uint32_t i = 0; i < items.size(); ++i) {
-        if (items[i].causal.empty()) continue;
-        w.put_u32(i);
-        items[i].causal.encode(w);
-      }
-    }
+    // Trailing sparse causal section: records of the causal items only.
+    w.put_sparse(
+        items, [](const TransferItem& item) { return !item.causal.empty(); },
+        [](BinaryWriter& out, const TransferItem& item) {
+          item.causal.encode(out);
+        });
     return std::move(w).take();
   }
 
@@ -342,18 +334,9 @@ struct FetchVnodeReply {
           });
       return item;
     });
-    if (!r.failed() && !r.exhausted()) {
-      const std::uint32_t n = r.get_u32();
-      for (std::uint32_t i = 0; i < n && !r.failed(); ++i) {
-        const std::uint32_t idx = r.get_u32();
-        store::CausalRecord rec = store::CausalRecord::decode(r);
-        if (idx < rep.items.size()) {
-          rep.items[idx].causal = std::move(rec);
-        } else {
-          r.mark_failed();
-        }
-      }
-    }
+    r.get_sparse(rep.items, [](BinaryReader& in, TransferItem& item) {
+      item.causal = store::CausalRecord::decode(in);
+    });
     if (r.failed()) return Status::Corruption("bad fetch reply");
     return rep;
   }
@@ -548,7 +531,7 @@ struct KeySummary {
   /// Digest of the peer's causal record (0 = no causal state). Ordering
   /// on timestamps cannot reconcile causal keys — equal digests mean
   /// converged, different digests mean "exchange records and join".
-  /// Carried in VnodeDigestReply's trailing parallel section.
+  /// Carried in VnodeDigestReply's trailing sparse section.
   std::uint64_t causal_digest = 0;
 };
 
@@ -576,20 +559,12 @@ struct VnodeDigestReply {
       out.put_u64(k.list_digest);
     });
     w.put_bool(truncated);
-    // Trailing parallel causal-digest section (same pattern as
-    // FetchVnodeReply): only keys with causal state appear.
-    std::uint32_t causal_count = 0;
-    for (const auto& k : keys) {
-      if (k.causal_digest != 0) ++causal_count;
-    }
-    if (causal_count > 0) {
-      w.put_u32(causal_count);
-      for (std::uint32_t i = 0; i < keys.size(); ++i) {
-        if (keys[i].causal_digest == 0) continue;
-        w.put_u32(i);
-        w.put_u64(keys[i].causal_digest);
-      }
-    }
+    // Trailing sparse causal-digest section: keys with causal state only.
+    w.put_sparse(
+        keys, [](const KeySummary& k) { return k.causal_digest != 0; },
+        [](BinaryWriter& out, const KeySummary& k) {
+          out.put_u64(k.causal_digest);
+        });
     return std::move(w).take();
   }
 
@@ -611,18 +586,9 @@ struct VnodeDigestReply {
       return k;
     });
     rep.truncated = r.get_bool();
-    if (!r.failed() && !r.exhausted()) {
-      const std::uint32_t cn = r.get_u32();
-      for (std::uint32_t i = 0; i < cn && !r.failed(); ++i) {
-        const std::uint32_t idx = r.get_u32();
-        const std::uint64_t digest = r.get_u64();
-        if (idx < rep.keys.size()) {
-          rep.keys[idx].causal_digest = digest;
-        } else {
-          r.mark_failed();
-        }
-      }
-    }
+    r.get_sparse(rep.keys, [](BinaryReader& in, KeySummary& k) {
+      k.causal_digest = in.get_u64();
+    });
     if (r.failed()) return Status::Corruption("bad digest reply");
     return rep;
   }

@@ -56,6 +56,153 @@ struct TransferWindow {
   std::function<void()> all_done;
 };
 
+/// Replica RPC timeout of a client op's fan-out: never past the client's
+/// deadline, since waiting longer can only produce an answer nobody wants.
+SimDuration fanout_timeout(SimDuration rpc_timeout, SimTime deadline,
+                           SimTime now) {
+  if (deadline == 0 || deadline <= now) return rpc_timeout;
+  return std::min<SimDuration>(rpc_timeout, deadline - now);
+}
+
+/// Node ids of the "node-<id>" children of the ephemeral live registry.
+std::vector<NodeId> live_nodes(const std::vector<std::string>& kids) {
+  std::vector<NodeId> live;
+  for (const auto& name : kids) {
+    if (name.rfind("node-", 0) != 0) continue;
+    live.push_back(
+        static_cast<NodeId>(std::strtoul(name.c_str() + 5, nullptr, 10)));
+  }
+  return live;
+}
+
+// ---- Write builders: the replica writes that recreate stored state. -----
+
+WriteRequest latest_write(const std::string& key,
+                          const store::VersionedValue& v) {
+  WriteRequest w;
+  w.key = key;
+  w.value = v.value;
+  w.ts = v.ts;  // pinned: replay is idempotent
+  w.flags = v.flags;
+  return w;
+}
+
+WriteRequest list_write(const std::string& key, const store::SourceValue& sv) {
+  WriteRequest w;
+  w.mode = WriteMode::kAll;
+  w.key = key;
+  w.value = sv.value;
+  w.ts = sv.ts;
+  w.source = sv.source;
+  return w;
+}
+
+WriteRequest causal_write(const std::string& key,
+                          const store::CausalRecord& record) {
+  WriteRequest w;
+  w.key = key;
+  w.causal_tag = WriteRequest::kCausalRecord;
+  w.record = record;
+  return w;
+}
+
+/// A causal item is its record (the receiver rebuilds the LWW mirror from
+/// the winner); otherwise its latest value. Either way, then its list.
+void append_item_writes(const TransferItem& item,
+                        std::vector<WriteRequest>& out) {
+  if (!item.causal.empty()) {
+    out.push_back(causal_write(item.key, item.causal));
+  } else if (item.has_latest) {
+    out.push_back(latest_write(item.key, item.latest));
+  }
+  for (const auto& sv : item.value_list) {
+    out.push_back(list_write(item.key, sv));
+  }
+}
+
+struct KeyPull {
+  std::string key;
+  bool want_list = false;
+  bool want_causal = false;
+};
+
+struct KeyDiff {
+  std::vector<WriteRequest> pushes;
+  std::vector<KeyPull> pulls;
+};
+
+/// The one reconcile rule, shared by anti-entropy (pushes and pulls) and
+/// migration catch-up (pulls only). `local` is this node's content of a
+/// vnode's mismatched digest buckets; `peer` summarises the other
+/// replica's content of the same buckets. Push what is newer here, pull
+/// what is newer there. Causal keys cannot be ranked by timestamp, so
+/// differing records are exchanged and joined (the DVV semilattice
+/// converges from both sides). A value-list digest mismatch reconciles
+/// both directions, since the per-source LWW merge makes the union
+/// converge. Pushes come in summary order, then the keys the peer lacks
+/// in key order; pulls in summary order.
+KeyDiff diff_keys(std::vector<TransferItem> local,
+                  const VnodeDigestReply& peer) {
+  std::sort(local.begin(), local.end(),
+            [](const TransferItem& a, const TransferItem& b) {
+              return a.key < b.key;
+            });
+  std::vector<bool> listed(local.size(), false);
+  KeyDiff diff;
+  for (const KeySummary& ks : peer.keys) {
+    const auto it = std::lower_bound(
+        local.begin(), local.end(), ks.key,
+        [](const TransferItem& item, const std::string& key) {
+          return item.key < key;
+        });
+    const TransferItem* mine =
+        it != local.end() && it->key == ks.key ? &*it : nullptr;
+    if (mine != nullptr) listed[it - local.begin()] = true;
+    const std::uint64_t my_causal =
+        mine == nullptr || mine->causal.empty() ? 0 : mine->causal.digest();
+    const std::uint64_t my_list =
+        mine == nullptr
+            ? 0
+            : store::LocalStore::value_list_digest(mine->value_list);
+    const bool list_diff = my_list != ks.list_digest;
+    if (my_causal != 0 || ks.causal_digest != 0) {
+      // Equal record digests mean converged.
+      const bool causal_diff = my_causal != ks.causal_digest;
+      if (causal_diff && my_causal != 0) {
+        diff.pushes.push_back(causal_write(ks.key, mine->causal));
+      }
+      if (causal_diff && ks.causal_digest != 0) {
+        diff.pulls.push_back({ks.key, list_diff, true});
+      } else if (list_diff) {
+        diff.pulls.push_back({ks.key, true, false});
+      }
+    } else {
+      const bool my_has = mine != nullptr && mine->has_latest;
+      const Timestamp my_ts = my_has ? mine->latest.ts : 0;
+      if ((ks.has_latest && (!my_has || my_ts < ks.latest_ts)) || list_diff) {
+        diff.pulls.push_back({ks.key, list_diff, false});
+      }
+      if (my_has && (!ks.has_latest || ks.latest_ts < my_ts)) {
+        diff.pushes.push_back(latest_write(ks.key, mine->latest));
+      }
+    }
+    if (list_diff && mine != nullptr) {
+      for (const auto& sv : mine->value_list) {
+        diff.pushes.push_back(list_write(ks.key, sv));
+      }
+    }
+  }
+  // Keys the peer did not list are missing there, unless its summary was
+  // truncated: then absence proves nothing, and later rounds cover the
+  // remainder.
+  if (!peer.truncated) {
+    for (std::size_t i = 0; i < local.size(); ++i) {
+      if (!listed[i]) append_item_writes(local[i], diff.pushes);
+    }
+  }
+  return diff;
+}
+
 }  // namespace
 
 SednaNode::SednaNode(sim::Network& net, NodeId id, SednaNodeConfig config)
@@ -529,15 +676,7 @@ void SednaNode::on_crash() {
 
 void SednaNode::hydrate_after_restart(std::function<void()> done) {
   needs_hydration_ = false;
-  std::vector<VnodeId> todo;
-  const std::uint32_t total = metadata_.table().total_vnodes();
-  for (VnodeId v = 0; v < total; ++v) {
-    const auto replicas = metadata_.table().replicas_for_vnode(v);
-    if (std::find(replicas.begin(), replicas.end(), id()) !=
-        replicas.end()) {
-      todo.push_back(v);
-    }
-  }
+  std::vector<VnodeId> todo = metadata_.table().replica_vnodes_of(id());
   const std::size_t n = todo.size();
   TransferWindow::run(
       n,
@@ -566,30 +705,47 @@ StatusCode SednaNode::apply_write(const WriteRequest& req) {
     ++vnode_status_[v].writes;
     vnode_status_[v].capacity_bytes += req.key.size() + req.value.size();
   }
+  // A failed log append fails the write: the replica must not ack what
+  // it could not log.
   Status st;
   if (req.causal_tag == WriteRequest::kCausalRecord) {
-    // Replica-side causal apply: a semilattice join with the pushed
-    // record. The WAL logs the *incoming* record only when the join moved
-    // local state — replay re-joins the same records, so recovery cannot
-    // lose siblings that were acked.
     bool changed = false;
-    st = store_->merge_causal(req.key, req.record, &changed);
-    if (st.ok() && changed && persistence_ != nullptr) {
-      persistence_->on_write_causal(req.key, req.record);
-    }
+    st = join_causal(req.key, req.record, &changed);
   } else if (req.mode == WriteMode::kLatest) {
     st = store_->write_latest(req.key, req.value, req.ts, req.flags,
                               req.ttl);
     if (st.ok() && persistence_ != nullptr) {
-      persistence_->on_write_latest(req.key, req.value, req.ts, req.flags);
+      st = persistence_->on_write_latest(req.key, req.value, req.ts,
+                                         req.flags);
     }
   } else {
     st = store_->write_all(req.key, req.source, req.value, req.ts);
     if (st.ok() && persistence_ != nullptr) {
-      persistence_->on_write_all(req.key, req.source, req.value, req.ts);
+      st = persistence_->on_write_all(req.key, req.source, req.value, req.ts);
     }
   }
   return st.code();
+}
+
+Status SednaNode::join_causal(const std::string& key,
+                              const store::CausalRecord& record,
+                              bool* changed) {
+  // The WAL logs the *incoming* record only when the join moved local
+  // state: replay re-joins the same records, so recovery cannot lose
+  // siblings that were acked.
+  Status st = store_->merge_causal(key, record, changed);
+  if (st.ok() && *changed && persistence_ != nullptr) {
+    st = persistence_->on_write_causal(key, record);
+  }
+  return st;
+}
+
+bool SednaNode::apply_copy(const WriteRequest& w) {
+  if (w.causal_tag != WriteRequest::kCausalRecord) {
+    return apply_write(w) == StatusCode::kOk;
+  }
+  bool changed = false;
+  return join_causal(w.key, w.record, &changed).ok() && changed;
 }
 
 ReadReply SednaNode::local_read(const ReadRequest& req) {
@@ -685,14 +841,13 @@ void SednaNode::handle_client_write(const sim::Message& msg) {
   if (causal_put) {
     auto minted = store_->write_causal(req.key, req.ctx, req.value, req.ts,
                                        req.flags, id());
-    if (!minted.ok()) {
+    if (!minted.ok() ||
+        (persistence_ != nullptr &&
+         !persistence_->on_write_causal(req.key, minted.value()).ok())) {
       WriteReply rep;
       rep.status = StatusCode::kFailure;
       reply(msg, rep.encode());
       return;
-    }
-    if (persistence_ != nullptr) {
-      persistence_->on_write_causal(req.key, minted.value());
     }
     causal_clock = minted.value().clock;
     req.causal_tag = WriteRequest::kCausalRecord;
@@ -756,19 +911,13 @@ void SednaNode::handle_client_write(const sim::Message& msg) {
     reply(origin, rep.encode());
   };
 
-  // Deadline-aware fan-out: the replica RPC timeout never extends past the
-  // client's remaining budget — once the deadline passes, waiting longer
-  // can only produce an answer nobody wants. A timeout that fired early
-  // *because* of the deadline is abandonment, not failure evidence, so it
-  // must not feed the failure detector or queue hints (suspecting healthy
-  // nodes and replaying hints during overload would amplify the overload).
-  SimDuration fanout_timeout = config().rpc_timeout_us;
-  if (origin.deadline != 0 && origin.deadline > now()) {
-    fanout_timeout =
-        std::min<SimDuration>(fanout_timeout, origin.deadline - now());
-  }
-  const bool deadline_bounded =
-      origin.deadline != 0 && fanout_timeout < config().rpc_timeout_us;
+  // Deadline-aware fan-out. A timeout that fired early *because* of the
+  // deadline is abandonment, not failure evidence, so it must not feed the
+  // failure detector or queue hints (suspecting healthy nodes and
+  // replaying hints during overload would amplify the overload).
+  const SimDuration timeout =
+      fanout_timeout(config().rpc_timeout_us, origin.deadline, now());
+  const bool deadline_bounded = timeout < config().rpc_timeout_us;
 
   const std::string payload = req.encode();
   for (NodeId replica : replicas) {
@@ -788,7 +937,7 @@ void SednaNode::handle_client_write(const sim::Message& msg) {
       continue;
     }
     call_with_timeout(
-        replica, kMsgReplicaWrite, payload, fanout_timeout,
+        replica, kMsgReplicaWrite, payload, timeout,
         [this, state, settle, replica, vnode, req, deadline_bounded](
             const Status& st, const std::string& body) {
           ++state->responses;
@@ -908,7 +1057,7 @@ void SednaNode::handle_client_read(const sim::Message& msg) {
             stale.push_back(node);
           }
         }
-        if (!stale.empty()) read_repair_causal(req.key, merged, stale);
+        if (!stale.empty()) read_repair(causal_write(req.key, merged), stale);
       } else if (state->failures > 0) {
         out.status = StatusCode::kFailure;
       } else {
@@ -920,6 +1069,17 @@ void SednaNode::handle_client_read(const sim::Message& msg) {
     }
 
     if (req.mode == ReadMode::kLatest) {
+      // Read repair pushes `answer` to the replies with older or no data.
+      auto repair_behind = [this, &state, &req](
+                               const store::VersionedValue& answer) {
+        std::vector<NodeId> stale;
+        for (const auto& [node, rep] : state->replies) {
+          if (!rep.has_latest || rep.latest.ts < answer.ts) {
+            stale.push_back(node);
+          }
+        }
+        if (!stale.empty()) read_repair(latest_write(req.key, answer), stale);
+      };
       // Quorum rule (Section III.C): R replies carrying the *same
       // timestamp* settle the read. Only *positive* replies may settle
       // early — concluding "not found" from R misses while a replica that
@@ -944,58 +1104,16 @@ void SednaNode::handle_client_read(const sim::Message& msg) {
           out.status = StatusCode::kOk;
           end_span(coord_span, "ok");
           reply(origin, out.encode());
-          // Repair stragglers that have older (or no) data.
-          std::vector<NodeId> stale;
-          for (const auto& [other_node, other] : state->replies) {
-            if (!other.has_latest || other.latest.ts < rep.latest.ts) {
-              stale.push_back(other_node);
-            }
-          }
-          if (!stale.empty()) read_repair(req.key, rep.latest, stale);
+          repair_behind(rep.latest);
           return;
         }
       }
-      // Degraded mode: once enough replicas have failed (timed out, shed
-      // with kOverloaded, or sit behind a partition) that a full R-sized
-      // agreeing set is impossible, answer from the freshest positive
-      // reply in hand and *say so* via the stale tag, instead of letting
-      // the op ride out every timeout and fail. Keyspace-style trade:
-      // availability bought with labeled staleness.
-      if (config_.degraded_reads &&
-          state->failures + cfg.read_quorum > total) {
-        const ReadReply* freshest = nullptr;
-        for (const auto& [node, rep] : state->replies) {
-          if (rep.has_latest &&
-              (freshest == nullptr || rep.latest.ts > freshest->latest.ts)) {
-            freshest = &rep;
-          }
-        }
-        if (freshest != nullptr) {
-          state->replied = true;
-          state->has_answer = true;
-          state->answer = freshest->latest;
-          state->served_stale = true;
-          state->settled_at = now();
-          metrics_.counter("coordinator.degraded_reads").add(1);
-          metrics_.histogram("coordinator.read_latency_us")
-              .record(now() - started, trace);
-          ReadReply out = *freshest;
-          out.status = StatusCode::kOk;
-          out.stale = true;
-          // Bounded staleness: the served value is no older than the time
-          // since this vnode last confirmed a full read quorum, so hand
-          // the client that bound alongside the stale tag.
-          if (auditor_ != nullptr) {
-            out.staleness_us = auditor_->on_stale_serve(vnode, now());
-          }
-          end_span(coord_span, "ok");
-          reply(origin, out.encode());
-          return;
-        }
-      }
-      if (state->responses < total) return;  // keep waiting
-      // All replicas answered without an R-sized agreeing set: return the
-      // freshest value (eventual consistency) and repair the rest.
+      // No R-sized agreeing set. Serve the freshest positive reply, tagged
+      // stale, once every replica has answered (eventual consistency; the
+      // rest are repaired) or, with degraded reads on, as soon as enough
+      // replicas have failed (timed out, shed, partitioned) that such a
+      // set is impossible: availability bought with labeled staleness
+      // instead of riding out every timeout (a Keyspace-style trade).
       const ReadReply* freshest = nullptr;
       for (const auto& [node, rep] : state->replies) {
         if (rep.has_latest &&
@@ -1003,6 +1121,9 @@ void SednaNode::handle_client_read(const sim::Message& msg) {
           freshest = &rep;
         }
       }
+      const bool degraded = freshest != nullptr && config_.degraded_reads &&
+                            state->failures + cfg.read_quorum > total;
+      if (!degraded && state->responses < total) return;  // keep waiting
       state->replied = true;
       metrics_.histogram("coordinator.read_latency_us")
           .record(now() - started, trace);
@@ -1010,24 +1131,21 @@ void SednaNode::handle_client_read(const sim::Message& msg) {
       if (freshest != nullptr) {
         out = *freshest;
         out.status = StatusCode::kOk;
-        // Below-quorum agreement: the answer is the freshest available
-        // but unconfirmed — label it rather than pass it off as a quorum
-        // read.
         out.stale = true;
         state->has_answer = true;
         state->answer = freshest->latest;
         state->served_stale = true;
         state->settled_at = now();
+        // Bounded staleness: the served value is no older than the time
+        // since this vnode last confirmed a full read quorum.
         if (auditor_ != nullptr) {
           out.staleness_us = auditor_->on_stale_serve(vnode, now());
         }
-        std::vector<NodeId> stale;
-        for (const auto& [node, rep] : state->replies) {
-          if (!rep.has_latest || rep.latest.ts < out.latest.ts) {
-            stale.push_back(node);
-          }
+        if (degraded) {
+          metrics_.counter("coordinator.degraded_reads").add(1);
+        } else {
+          repair_behind(out.latest);
         }
-        if (!stale.empty()) read_repair(req.key, out.latest, stale);
       } else if (state->failures > 0) {
         out.status = StatusCode::kFailure;
       } else {
@@ -1103,13 +1221,9 @@ void SednaNode::handle_client_read(const sim::Message& msg) {
 
   // Deadline-aware fan-out; see handle_client_write. Deadline-shortened
   // timeouts are abandonment, not failure evidence.
-  SimDuration fanout_timeout = config().rpc_timeout_us;
-  if (origin.deadline != 0 && origin.deadline > now()) {
-    fanout_timeout =
-        std::min<SimDuration>(fanout_timeout, origin.deadline - now());
-  }
-  const bool deadline_bounded =
-      origin.deadline != 0 && fanout_timeout < config().rpc_timeout_us;
+  const SimDuration timeout =
+      fanout_timeout(config().rpc_timeout_us, origin.deadline, now());
+  const bool deadline_bounded = timeout < config().rpc_timeout_us;
 
   const std::string payload = req.encode();
   for (NodeId replica : replicas) {
@@ -1124,7 +1238,7 @@ void SednaNode::handle_client_read(const sim::Message& msg) {
       continue;
     }
     call_with_timeout(
-        replica, kMsgReplicaRead, payload, fanout_timeout,
+        replica, kMsgReplicaRead, payload, timeout,
         [this, state, settle, audit_finalize, replica, vnode, key = req.key,
          deadline_bounded](const Status& st, const std::string& body) {
           ++state->responses;
@@ -1146,12 +1260,12 @@ void SednaNode::handle_client_read(const sim::Message& msg) {
               if (state->replied && state->has_answer &&
                   (!rep->has_latest ||
                    rep->latest.ts < state->answer.ts)) {
-                read_repair(key, state->answer, {replica});
+                read_repair(latest_write(key, state->answer), {replica});
               }
               if (state->replied && state->has_causal_answer &&
                   (!rep->has_causal ||
                    !(rep->causal == state->merged))) {
-                read_repair_causal(key, state->merged, {replica});
+                read_repair(causal_write(key, state->merged), {replica});
               }
               state->replies.emplace_back(replica, std::move(rep).value());
             } else {
@@ -1166,47 +1280,13 @@ void SednaNode::handle_client_read(const sim::Message& msg) {
   set_trace_context(prev_ctx);
 }
 
-void SednaNode::read_repair(const std::string& key,
-                            const store::VersionedValue& fresh,
+void SednaNode::read_repair(const WriteRequest& req,
                             const std::vector<NodeId>& stale) {
   metrics_.counter("coordinator.read_repairs").add(1);
   // The repair span closes when the last stale replica has been pushed,
   // so its duration covers the backfill round trips.
   const SpanId span = begin_span("coord.read_repair", TraceStage::kRepair);
   const TraceContext prev = enter_span(span);
-  WriteRequest req;
-  req.mode = WriteMode::kLatest;
-  req.key = key;
-  req.value = fresh.value;
-  req.ts = fresh.ts;
-  req.flags = fresh.flags;
-  const std::string payload = req.encode();
-  auto remaining = std::make_shared<std::size_t>(stale.size());
-  for (NodeId node : stale) {
-    if (node == id()) {
-      apply_write(req);
-      if (--*remaining == 0) end_span(span);
-    } else {
-      call(node, kMsgReplicaWrite, payload,
-           [this, span, remaining](const Status&, const std::string&) {
-             if (--*remaining == 0) end_span(span);
-           });
-    }
-  }
-  set_trace_context(prev);
-}
-
-void SednaNode::read_repair_causal(const std::string& key,
-                                   const store::CausalRecord& fresh,
-                                   const std::vector<NodeId>& stale) {
-  metrics_.counter("coordinator.read_repairs").add(1);
-  const SpanId span = begin_span("coord.read_repair", TraceStage::kRepair);
-  const TraceContext prev = enter_span(span);
-  WriteRequest req;
-  req.mode = WriteMode::kLatest;
-  req.key = key;
-  req.causal_tag = WriteRequest::kCausalRecord;
-  req.record = fresh;
   const std::string payload = req.encode();
   auto remaining = std::make_shared<std::size_t>(stale.size());
   for (NodeId node : stale) {
@@ -1293,16 +1373,9 @@ void SednaNode::start_recovery(VnodeId vnode, NodeId dead) {
           finish_recovery(vnode);
           return;
         }
-        // Live node set from the ephemeral registry.
-        std::vector<NodeId> live;
-        for (const auto& name : kids.value()) {
-          if (name.rfind("node-", 0) != 0) continue;
-          live.push_back(static_cast<NodeId>(
-              std::strtoul(name.c_str() + 5, nullptr, 10)));
-        }
         // Candidates: live nodes not already holding this slice.
         std::vector<NodeId> candidates;
-        for (NodeId n : live) {
+        for (NodeId n : live_nodes(kids.value())) {
           if (n != dead &&
               std::find(sources.begin(), sources.end(), n) ==
                   sources.end()) {
@@ -1400,21 +1473,7 @@ void SednaNode::handle_fetch_vnode(const sim::Message& msg) {
     reply(msg, rep.encode());
     return;
   }
-  const VnodeId vnode = req->vnode;
-  const auto& table = metadata_.table();
-  store_->for_each_matching(
-      [&table, vnode](std::string_view key) {
-        return table.vnode_for_key(key) == vnode;
-      },
-      [&rep](const store::Item& item) {
-        TransferItem out;
-        out.key = item.key;
-        out.has_latest = item.has_latest;
-        out.latest = item.latest;
-        out.value_list = item.value_list;
-        out.causal = item.causal;
-        rep.items.push_back(std::move(out));
-      });
+  rep.items = vnode_items(req->vnode, nullptr);
   metrics_.counter("transfer.vnodes_served").add(1);
   metrics_.counter("transfer.items_served").add(rep.items.size());
   reply(msg, rep.encode());
@@ -1459,21 +1518,45 @@ void SednaNode::handle_purge_vnode(const sim::Message& msg) {
 }
 
 void SednaNode::purge_local_vnode(VnodeId vnode) {
-  const auto& table = metadata_.table();
   // Only purge if we are truly out of the slice's replica set now; the
   // previous owner often remains a successor replica on the walk.
-  const auto replicas = table.replicas_for_vnode(vnode);
+  const auto replicas = metadata_.table().replicas_for_vnode(vnode);
   if (std::find(replicas.begin(), replicas.end(), id()) != replicas.end()) {
     return;
   }
   std::vector<std::string> doomed;
-  store_->for_each_matching(
-      [&table, vnode](std::string_view key) {
-        return table.vnode_for_key(key) == vnode;
-      },
-      [&doomed](const store::Item& item) { doomed.push_back(item.key); });
+  for_each_vnode_item(vnode, nullptr, [&doomed](const store::Item& item) {
+    doomed.push_back(item.key);
+  });
   for (const auto& key : doomed) store_->del(key);
   metrics_.counter("transfer.purged_items").add(doomed.size());
+}
+
+void SednaNode::for_each_vnode_item(
+    VnodeId vnode, const std::vector<std::uint32_t>* buckets,
+    const std::function<void(const store::Item&)>& fn) {
+  const auto& table = metadata_.table();
+  const std::uint32_t per_vnode = store_->digest_buckets_per_vnode();
+  store_->for_each_matching(
+      [&table, vnode, buckets, per_vnode](std::string_view key) {
+        if (table.vnode_for_key(key) != vnode) return false;
+        if (buckets == nullptr) return true;
+        const std::uint32_t b =
+            store::LocalStore::digest_bucket_of(key, per_vnode);
+        return std::find(buckets->begin(), buckets->end(), b) !=
+               buckets->end();
+      },
+      fn);
+}
+
+std::vector<TransferItem> SednaNode::vnode_items(
+    VnodeId vnode, const std::vector<std::uint32_t>* buckets) {
+  std::vector<TransferItem> items;
+  for_each_vnode_item(vnode, buckets, [&items](const store::Item& item) {
+    items.push_back(TransferItem{item.key, item.has_latest, item.latest,
+                                 item.value_list, item.causal});
+  });
+  return items;
 }
 
 void SednaNode::handle_takeover(const sim::Message& msg) {
@@ -1529,36 +1612,14 @@ void SednaNode::fetch_vnode_from(VnodeId vnode, std::vector<NodeId> sources,
            return;
          }
          std::uint64_t bytes = 0;
+         std::vector<WriteRequest> writes;
          for (const auto& item : rep->items) {
            bytes += item.key.size();
            if (item.has_latest) bytes += item.latest.value.size();
            for (const auto& sv : item.value_list) bytes += sv.value.size();
-           if (!item.causal.empty()) {
-             // Causal item: join the record; the LWW mirror refreshes
-             // from the winner, so no separate kLatest apply is needed.
-             bool changed = false;
-             store_->merge_causal(item.key, item.causal, &changed);
-             if (changed && persistence_ != nullptr) {
-               persistence_->on_write_causal(item.key, item.causal);
-             }
-           } else if (item.has_latest) {
-             WriteRequest w;
-             w.mode = WriteMode::kLatest;
-             w.key = item.key;
-             w.value = item.latest.value;
-             w.ts = item.latest.ts;
-             w.flags = item.latest.flags;
-             apply_write(w);
-           }
-           for (const auto& sv : item.value_list) {
-             WriteRequest w;
-             w.mode = WriteMode::kAll;
-             w.key = item.key;
-             w.value = sv.value;
-             w.ts = sv.ts;
-             w.source = sv.source;
-             apply_write(w);
-           }
+           writes.clear();
+           append_item_writes(item, writes);
+           for (const WriteRequest& w : writes) apply_copy(w);
          }
          metrics_.counter("transfer.items_received").add(rep->items.size());
          done(true, bytes);
@@ -1866,139 +1927,8 @@ void SednaNode::reconcile_with_peer(VnodeId vnode, NodeId peer,
   const SpanId span = begin_span("antientropy.reconcile", TraceStage::kRepair);
   const TraceContext prev = enter_span(span);
 
-  // Local view of the mismatched buckets.
-  struct LocalKey {
-    bool has_latest = false;
-    store::VersionedValue latest;
-    std::vector<store::SourceValue> list;
-    std::uint64_t list_digest = 0;
-    store::CausalRecord causal;
-    std::uint64_t causal_digest = 0;
-  };
-  std::set<std::uint32_t> mismatched(rep.mismatched.begin(),
-                                     rep.mismatched.end());
-  const std::uint32_t bucket_count = store_->digest_buckets_per_vnode();
-  const auto& table = metadata_.table();
-  std::map<std::string, LocalKey> local;
-  store_->for_each_matching(
-      [&table, &mismatched, bucket_count, vnode](std::string_view key) {
-        return table.vnode_for_key(key) == vnode &&
-               mismatched.contains(
-                   store::LocalStore::digest_bucket_of(key, bucket_count));
-      },
-      [&local](const store::Item& item) {
-        LocalKey lk;
-        lk.has_latest = item.has_latest;
-        lk.latest = item.latest;
-        lk.list = item.value_list;
-        lk.list_digest = store::LocalStore::value_list_digest(item.value_list);
-        if (!item.causal.empty()) {
-          lk.causal = item.causal;
-          lk.causal_digest = item.causal.digest();
-        }
-        local.emplace(item.key, std::move(lk));
-      });
-
-  // Decide per key: push what we have newer, pull what the peer has
-  // newer; a value-list digest mismatch reconciles both directions (the
-  // per-source LWW merge makes the union converge).
-  std::vector<WriteRequest> pushes;
-  // key, pull value list, pull causal record
-  std::vector<std::tuple<std::string, bool, bool>> pulls;
-  std::set<std::string> peer_keys;
-  for (const KeySummary& ks : rep.keys) {
-    peer_keys.insert(ks.key);
-    const auto it = local.find(ks.key);
-    const std::uint64_t local_causal =
-        it == local.end() ? 0 : it->second.causal_digest;
-    const bool causal_key = local_causal != 0 || ks.causal_digest != 0;
-    const std::uint64_t local_list =
-        it == local.end() ? 0 : it->second.list_digest;
-    const bool list_diff = local_list != ks.list_digest;
-    if (causal_key) {
-      // Causal keys reconcile by exchanging records: timestamp ordering
-      // cannot rank concurrent siblings, but the semilattice join
-      // converges from both directions. Equal digests mean converged.
-      const bool causal_diff = local_causal != ks.causal_digest;
-      if (causal_diff) {
-        if (local_causal != 0) {
-          WriteRequest w;
-          w.key = ks.key;
-          w.causal_tag = WriteRequest::kCausalRecord;
-          w.record = it->second.causal;
-          pushes.push_back(std::move(w));
-        }
-        if (ks.causal_digest != 0) {
-          pulls.emplace_back(ks.key, list_diff, true);
-        }
-      } else if (list_diff) {
-        pulls.emplace_back(ks.key, true, false);
-      }
-    } else {
-      const bool local_has = it != local.end() && it->second.has_latest;
-      const Timestamp local_ts = local_has ? it->second.latest.ts : 0;
-      if ((ks.has_latest && (!local_has || local_ts < ks.latest_ts)) ||
-          list_diff) {
-        pulls.emplace_back(ks.key, list_diff, false);
-      }
-      if (local_has && (!ks.has_latest || ks.latest_ts < local_ts)) {
-        WriteRequest w;
-        w.mode = WriteMode::kLatest;
-        w.key = ks.key;
-        w.value = it->second.latest.value;
-        w.ts = it->second.latest.ts;
-        w.flags = it->second.latest.flags;
-        pushes.push_back(std::move(w));
-      }
-    }
-    if (list_diff && it != local.end()) {
-      for (const auto& sv : it->second.list) {
-        WriteRequest w;
-        w.mode = WriteMode::kAll;
-        w.key = ks.key;
-        w.value = sv.value;
-        w.ts = sv.ts;
-        w.source = sv.source;
-        pushes.push_back(std::move(w));
-      }
-    }
-  }
-  // Keys the peer did not list at all are missing there — unless its
-  // summary was truncated, in which case absence proves nothing and the
-  // next rounds will cover the remainder.
-  if (!rep.truncated) {
-    for (const auto& [key, lk] : local) {
-      if (peer_keys.contains(key)) continue;
-      if (lk.causal_digest != 0) {
-        // Missing causal key: push the whole record (subsumes the
-        // mirror, which the peer rebuilds from the winner).
-        WriteRequest w;
-        w.key = key;
-        w.causal_tag = WriteRequest::kCausalRecord;
-        w.record = lk.causal;
-        pushes.push_back(std::move(w));
-      } else if (lk.has_latest) {
-        WriteRequest w;
-        w.mode = WriteMode::kLatest;
-        w.key = key;
-        w.value = lk.latest.value;
-        w.ts = lk.latest.ts;
-        w.flags = lk.latest.flags;
-        pushes.push_back(std::move(w));
-      }
-      for (const auto& sv : lk.list) {
-        WriteRequest w;
-        w.mode = WriteMode::kAll;
-        w.key = key;
-        w.value = sv.value;
-        w.ts = sv.ts;
-        w.source = sv.source;
-        pushes.push_back(std::move(w));
-      }
-    }
-  } else {
-    metrics_.counter("antientropy.truncated_replies").add(1);
-  }
+  const KeyDiff diff = diff_keys(vnode_items(vnode, &rep.mismatched), rep);
+  if (rep.truncated) metrics_.counter("antientropy.truncated_replies").add(1);
 
   auto outstanding = std::make_shared<std::size_t>(1);
   auto finish = [this, span, prev, outstanding,
@@ -2008,15 +1938,15 @@ void SednaNode::reconcile_with_peer(VnodeId vnode, NodeId peer,
       done();
     }
   };
-  for (const WriteRequest& w : pushes) {
+  for (const WriteRequest& w : diff.pushes) {
     ++*outstanding;
     metrics_.counter("antientropy.keys_pushed").add(1);
     call(peer, kMsgReplicaWrite, w.encode(),
          [finish](const Status&, const std::string&) { finish(); });
   }
-  for (const auto& [key, want_list, want_causal] : pulls) {
+  for (const KeyPull& p : diff.pulls) {
     ++*outstanding;
-    pull_key(peer, key, want_list, want_causal, finish);
+    pull_key(peer, p.key, p.want_list, p.want_causal, finish);
   }
   set_trace_context(prev);
   finish();  // releases the +1 guard
@@ -2031,30 +1961,11 @@ void SednaNode::pull_key(NodeId peer, const std::string& key, bool want_list,
   call(peer, kMsgReplicaRead, latest_req.encode(),
        [this, peer, key, want_list, want_causal, done = std::move(done)](
            const Status& st, const std::string& body) {
-         if (st.ok()) {
-           auto rep = ReadReply::decode(body);
-           if (want_causal) {
-             if (rep.ok() && rep->has_causal) {
-               bool changed = false;
-               store_->merge_causal(key, rep->causal, &changed);
-               if (changed) {
-                 if (persistence_ != nullptr) {
-                   persistence_->on_write_causal(key, rep->causal);
-                 }
-                 metrics_.counter("antientropy.keys_pulled").add(1);
-               }
-             }
-           } else if (rep.ok() && rep->has_latest) {
-             WriteRequest w;
-             w.mode = WriteMode::kLatest;
-             w.key = key;
-             w.value = rep->latest.value;
-             w.ts = rep->latest.ts;  // pinned: replay is idempotent
-             w.flags = rep->latest.flags;
-             if (apply_write(w) == StatusCode::kOk) {
-               metrics_.counter("antientropy.keys_pulled").add(1);
-             }
-           }
+         auto rep = st.ok() ? ReadReply::decode(body) : Result<ReadReply>(st);
+         if (rep.ok() && (want_causal ? rep->has_causal : rep->has_latest) &&
+             apply_copy(want_causal ? causal_write(key, rep->causal)
+                                    : latest_write(key, rep->latest))) {
+           metrics_.counter("antientropy.keys_pulled").add(1);
          }
          if (!want_list) {
            done();
@@ -2065,18 +1976,11 @@ void SednaNode::pull_key(NodeId peer, const std::string& key, bool want_list,
          list_req.key = key;
          call(peer, kMsgReplicaRead, list_req.encode(),
               [this, key, done](const Status& st2, const std::string& body2) {
-                if (st2.ok()) {
-                  auto rep2 = ReadReply::decode(body2);
-                  if (rep2.ok()) {
-                    for (const auto& sv : rep2->value_list) {
-                      WriteRequest w;
-                      w.mode = WriteMode::kAll;
-                      w.key = key;
-                      w.value = sv.value;
-                      w.ts = sv.ts;
-                      w.source = sv.source;
-                      apply_write(w);
-                    }
+                auto rep2 = st2.ok() ? ReadReply::decode(body2)
+                                     : Result<ReadReply>(st2);
+                if (rep2.ok()) {
+                  for (const auto& sv : rep2->value_list) {
+                    apply_copy(list_write(key, sv));
                   }
                 }
                 done();
@@ -2096,12 +2000,7 @@ void SednaNode::traffic_rebalance_tick() {
   zk_.children(
       kZkRealNodes, [this](const Result<std::vector<std::string>>& kids) {
         if (!kids.ok() || !alive() || !ready_) return;
-        std::vector<NodeId> live;
-        for (const auto& name : kids.value()) {
-          if (name.rfind("node-", 0) != 0) continue;
-          live.push_back(static_cast<NodeId>(
-              std::strtoul(name.c_str() + 5, nullptr, 10)));
-        }
+        std::vector<NodeId> live = live_nodes(kids.value());
         // Single deterministic actor: the lowest live node id.
         if (live.empty() ||
             *std::min_element(live.begin(), live.end()) != id()) {
@@ -2397,70 +2296,20 @@ void SednaNode::migration_catchup(VnodeId vnode, NodeId from,
       done(true, 0);
       return;
     }
-    // Local view of the mismatched buckets — the same scan as the
-    // anti-entropy reconcile but pull-only: the source stays authoritative
-    // until cutover, so nothing is pushed back. A truncated digest reply
-    // leaves a remainder for the post-cutover drain pass (and ultimately
-    // anti-entropy) to cover.
-    struct LocalKey {
-      bool has_latest = false;
-      Timestamp ts = 0;
-      std::uint64_t list_digest = 0;
-      std::uint64_t causal_digest = 0;
-    };
-    std::set<std::uint32_t> mismatched(rep->mismatched.begin(),
-                                       rep->mismatched.end());
-    const std::uint32_t bucket_count = store_->digest_buckets_per_vnode();
-    const auto& table = metadata_.table();
-    std::map<std::string, LocalKey> local;
-    store_->for_each_matching(
-        [&table, &mismatched, bucket_count, vnode](std::string_view key) {
-          return table.vnode_for_key(key) == vnode &&
-                 mismatched.contains(
-                     store::LocalStore::digest_bucket_of(key, bucket_count));
-        },
-        [&local](const store::Item& item) {
-          local.emplace(
-              item.key,
-              LocalKey{item.has_latest, item.has_latest ? item.latest.ts : 0,
-                       store::LocalStore::value_list_digest(item.value_list),
-                       item.causal.empty() ? 0 : item.causal.digest()});
-        });
-    // key, pull value list, pull causal record
-    std::vector<std::tuple<std::string, bool, bool>> pulls;
-    for (const KeySummary& ks : rep->keys) {
-      const auto it = local.find(ks.key);
-      const std::uint64_t local_causal =
-          it == local.end() ? 0 : it->second.causal_digest;
-      const std::uint64_t local_list =
-          it == local.end() ? 0 : it->second.list_digest;
-      const bool list_diff = local_list != ks.list_digest;
-      if (ks.causal_digest != 0 || local_causal != 0) {
-        // Causal key: pull the peer's record when the digests differ —
-        // the local join absorbs it without ranking siblings.
-        if (ks.causal_digest != 0 && ks.causal_digest != local_causal) {
-          pulls.emplace_back(ks.key, list_diff, true);
-        } else if (list_diff) {
-          pulls.emplace_back(ks.key, true, false);
-        }
-        continue;
-      }
-      const bool local_has = it != local.end() && it->second.has_latest;
-      const Timestamp local_ts = local_has ? it->second.ts : 0;
-      if ((ks.has_latest && (!local_has || local_ts < ks.latest_ts)) ||
-          list_diff) {
-        pulls.emplace_back(ks.key, list_diff, false);
-      }
-    }
-    metrics_.counter("rebalance.catchup_keys").add(pulls.size());
-    const std::size_t pulled = pulls.size();
+    // The pull half of the anti-entropy diff: the source stays
+    // authoritative until cutover, so nothing is pushed back. A truncated
+    // digest reply leaves a remainder for the post-cutover drain pass (and
+    // ultimately anti-entropy) to cover.
+    const KeyDiff diff = diff_keys(vnode_items(vnode, &rep->mismatched), *rep);
+    const std::size_t pulled = diff.pulls.size();
+    metrics_.counter("rebalance.catchup_keys").add(pulled);
     auto outstanding = std::make_shared<std::size_t>(1);
     auto finish = [outstanding, pulled, done = std::move(done)] {
       if (--*outstanding == 0) done(true, pulled);
     };
-    for (const auto& [key, want_list, want_causal] : pulls) {
+    for (const KeyPull& p : diff.pulls) {
       ++*outstanding;
-      pull_key(from, key, want_list, want_causal, finish);
+      pull_key(from, p.key, p.want_list, p.want_causal, finish);
     }
     finish();  // releases the +1 guard
   });
@@ -2483,25 +2332,14 @@ void SednaNode::handle_vnode_digest(const sim::Message& msg) {
     reply(msg, rep.encode());
     return;
   }
-  std::set<std::uint32_t> mismatched;
-  if (local.size() != req->buckets.size()) {
-    // Bucket-count mismatch (config drift): treat everything as divergent.
-    for (std::uint32_t b = 0; b < local.size(); ++b) mismatched.insert(b);
-  } else {
-    for (std::uint32_t b = 0; b < local.size(); ++b) {
-      if (local[b] != req->buckets[b]) mismatched.insert(b);
+  for (std::uint32_t b = 0; b < local.size(); ++b) {
+    // A bucket-count mismatch (config drift) makes every bucket divergent.
+    if (local.size() != req->buckets.size() || local[b] != req->buckets[b]) {
+      rep.mismatched.push_back(b);
     }
   }
-  rep.mismatched.assign(mismatched.begin(), mismatched.end());
-  const std::uint32_t bucket_count = store_->digest_buckets_per_vnode();
-  const auto& table = metadata_.table();
-  const VnodeId vnode = req->vnode;
-  store_->for_each_matching(
-      [&table, &mismatched, bucket_count, vnode](std::string_view key) {
-        return table.vnode_for_key(key) == vnode &&
-               mismatched.contains(
-                   store::LocalStore::digest_bucket_of(key, bucket_count));
-      },
+  for_each_vnode_item(
+      req->vnode, &rep.mismatched,
       [this, &rep](const store::Item& item) {
         if (rep.keys.size() >= config_.anti_entropy_max_keys) {
           rep.truncated = true;

@@ -246,9 +246,19 @@ class SednaNode : public sim::Host {
   // Traffic-aware migration path.
   void handle_migrate_vnode(const sim::Message& msg);
 
-  /// Applies a write to the local store + persistence. Used by both the
-  /// replica handler and the coordinator's own local copy.
+  /// Applies a write to the local store + persistence and counts it as
+  /// vnode write traffic. A failed log append fails the write, so no
+  /// replica acks what it could not log.
   StatusCode apply_write(const WriteRequest& req);
+  /// Semilattice join of a causal record into the store, logged only when
+  /// the join moved local state (`*changed`).
+  Status join_causal(const std::string& key, const store::CausalRecord& record,
+                     bool* changed);
+  /// Applies a write copied from a peer (vnode transfer, anti-entropy
+  /// pull). Causal records join without counting as vnode traffic.
+  /// Returns whether the copy took: applied, or for a causal record,
+  /// moved local state.
+  bool apply_copy(const WriteRequest& w);
   [[nodiscard]] ReadReply local_read(const ReadRequest& req);
 
   /// Failure evidence from the data path: verify via ZooKeeper and kick
@@ -257,22 +267,24 @@ class SednaNode : public sim::Host {
   void start_recovery(VnodeId vnode, NodeId dead);
   void finish_recovery(VnodeId vnode);
 
-  /// Read repair: push the freshest value to replicas that answered with
-  /// stale or missing data.
-  void read_repair(const std::string& key,
-                   const store::VersionedValue& fresh,
-                   const std::vector<NodeId>& stale);
-  /// Causal variant: pushes the joined record — replicas fold it in with
-  /// a semilattice merge, so repair can never clobber a concurrent write
-  /// the way a timestamp overwrite could.
-  void read_repair_causal(const std::string& key,
-                          const store::CausalRecord& fresh,
-                          const std::vector<NodeId>& stale);
+  /// Read repair: push the answer (the freshest value, or the joined
+  /// causal record, which replicas fold in with a semilattice merge) to
+  /// replicas that answered with stale or missing data.
+  void read_repair(const WriteRequest& req, const std::vector<NodeId>& stale);
 
   /// Restart hydration: re-fetch every owned vnode slice (8 at a time),
   /// then invoke done. Best effort — unreachable slices are left to read
   /// repair and anti-entropy.
   void hydrate_after_restart(std::function<void()> done);
+  /// The one vnode scan (fetch, purge, digest serve, and the key diff of
+  /// anti-entropy and catch-up): visits this node's items of `vnode`, only
+  /// those in the digest `buckets` when given.
+  void for_each_vnode_item(VnodeId vnode,
+                           const std::vector<std::uint32_t>* buckets,
+                           const std::function<void(const store::Item&)>& fn);
+  /// The scanned items as transfer records, in store order.
+  std::vector<TransferItem> vnode_items(
+      VnodeId vnode, const std::vector<std::uint32_t>* buckets);
   /// Pulls `vnode`'s items from the first healthy node in `sources`.
   /// `done` receives success plus the approximate payload bytes applied.
   void fetch_vnode_from(VnodeId vnode, std::vector<NodeId> sources,
@@ -331,6 +343,8 @@ class SednaNode : public sim::Host {
   void sync_vnode_peer(VnodeId vnode,
                        std::shared_ptr<std::vector<NodeId>> peers,
                        std::size_t idx, std::function<void()> done);
+  /// Sends both halves of the key diff against `peer`'s digest reply:
+  /// pushes of what is newer here, pulls of what is newer there.
   void reconcile_with_peer(VnodeId vnode, NodeId peer,
                            const VnodeDigestReply& rep,
                            std::function<void()> done);
@@ -344,9 +358,9 @@ class SednaNode : public sim::Host {
   void traffic_rebalance_tick();
   void run_traffic_plan(const ring::ImbalanceTable& table,
                         std::vector<NodeId> live);
-  /// Pull-only Merkle reconcile of `vnode` against `from` (the delta
-  /// catch-up phases of a migration). `done` receives success plus the
-  /// number of keys pulled.
+  /// The delta catch-up phases of a migration: the pull half of the
+  /// anti-entropy key diff of `vnode` against `from`. `done` receives
+  /// success plus the number of keys pulled.
   void migration_catchup(VnodeId vnode, NodeId from,
                          std::function<void(bool, std::size_t)> done);
   /// Drops the local copy of `vnode` unless this node is (still) in its

@@ -49,6 +49,22 @@ class BinaryWriter {
     for (const auto& item : items) encode_one(*this, item);
   }
 
+  /// Sparse trailing section over `items`: a u32 count, then (u32 index,
+  /// value) pairs for the elements `has` selects; omitted entirely when it
+  /// selects none, so readers that predate the section still parse.
+  template <typename T, typename Has, typename Fn>
+  void put_sparse(const std::vector<T>& items, Has&& has, Fn&& encode_one) {
+    std::uint32_t n = 0;
+    for (const auto& item : items) n += has(item) ? 1 : 0;
+    if (n == 0) return;
+    put_u32(n);
+    for (std::uint32_t i = 0; i < items.size(); ++i) {
+      if (!has(items[i])) continue;
+      put_u32(i);
+      encode_one(*this, items[i]);
+    }
+  }
+
   [[nodiscard]] const std::string& data() const& { return buf_; }
   [[nodiscard]] std::string take() && { return std::move(buf_); }
   [[nodiscard]] std::size_t size() const { return buf_.size(); }
@@ -120,6 +136,19 @@ class BinaryReader {
       items.push_back(decode_one(*this));
     }
     return items;
+  }
+
+  /// Reads a put_sparse section if any bytes remain: `decode_one(reader,
+  /// element)` fills the indexed element. An index past the end fails.
+  template <typename T, typename Fn>
+  void get_sparse(std::vector<T>& items, Fn&& decode_one) {
+    if (failed_ || exhausted()) return;
+    const std::uint32_t n = get_u32();
+    for (std::uint32_t i = 0; i < n && !failed_; ++i) {
+      const std::uint32_t idx = get_u32();
+      if (idx >= items.size()) failed_ = true;
+      if (!failed_) decode_one(*this, items[idx]);
+    }
   }
 
   [[nodiscard]] Status status() const {

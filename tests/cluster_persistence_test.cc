@@ -121,6 +121,21 @@ TEST_F(PersistentClusterTest, WholeClusterPowerLossRecovers) {
   EXPECT_EQ(recovered, 60);
 }
 
+TEST_F(PersistentClusterTest, WriteWhoseLogAppendFailsIsNotAcked) {
+  // A directory squatting on every node's WAL path makes each log open
+  // and append fail. A replica that cannot log a write must not ack it,
+  // so no write quorum can form.
+  SednaClusterConfig cfg = config();
+  for (std::uint32_t i = 0; i < cfg.data_nodes; ++i) {
+    std::filesystem::create_directories(
+        dir_ / ("node-" + std::to_string(100 + i)) / "wal.log");
+  }
+  SednaCluster cluster(cfg);
+  ASSERT_TRUE(cluster.boot().ok());
+  auto& client = cluster.make_client();
+  EXPECT_FALSE(cluster.write_latest(client, "unlogged", "v").ok());
+}
+
 // ---- ensemble-size generality ---------------------------------------------------
 
 class EnsembleSizeSweep : public ::testing::TestWithParam<std::uint32_t> {};

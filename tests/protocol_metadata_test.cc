@@ -77,6 +77,98 @@ TEST(Protocol, FetchVnodeReplyRoundTrip) {
   EXPECT_EQ(back->items[0].value_list[0].source, 3u);
 }
 
+// Both replies carry causal state in the same sparse trailing section:
+// a u32 count, then (u32 index, value) pairs for the entries that have it.
+TEST(Protocol, SparseCausalSectionsRoundTrip) {
+  store::CausalRecord rec;
+  rec.update({}, "sib-a", 10, 0, 100);
+  rec.update({}, "sib-b", 11, 0, 101);
+
+  FetchVnodeReply fetch;
+  fetch.items.resize(3);
+  fetch.items[0].key = "lww";
+  fetch.items[1].key = "causal";
+  fetch.items[1].causal = rec;
+  fetch.items[2].key = "lww-too";
+  auto fetch_back = FetchVnodeReply::decode(fetch.encode());
+  ASSERT_TRUE(fetch_back.ok());
+  ASSERT_EQ(fetch_back->items.size(), 3u);
+  EXPECT_TRUE(fetch_back->items[0].causal.empty());
+  EXPECT_EQ(fetch_back->items[1].causal, rec);
+  EXPECT_TRUE(fetch_back->items[2].causal.empty());
+
+  VnodeDigestReply digest;
+  digest.mismatched = {2, 5};
+  digest.keys.resize(3);
+  digest.keys[0].key = "a";
+  digest.keys[1].key = "b";
+  digest.keys[2].key = "c";
+  digest.keys[2].causal_digest = rec.digest();
+  auto digest_back = VnodeDigestReply::decode(digest.encode());
+  ASSERT_TRUE(digest_back.ok());
+  EXPECT_EQ(digest_back->mismatched, digest.mismatched);
+  ASSERT_EQ(digest_back->keys.size(), 3u);
+  EXPECT_EQ(digest_back->keys[0].causal_digest, 0u);
+  EXPECT_EQ(digest_back->keys[1].causal_digest, 0u);
+  EXPECT_EQ(digest_back->keys[2].causal_digest, rec.digest());
+}
+
+TEST(Protocol, SparseSectionIndexPastTheEndIsCorruption) {
+  FetchVnodeReply fetch;
+  fetch.items.resize(1);
+  std::string fetch_bytes = fetch.encode();
+  BinaryWriter fetch_trailer;
+  fetch_trailer.put_u32(1);
+  fetch_trailer.put_u32(1);  // only index 0 exists
+  store::CausalRecord().encode(fetch_trailer);
+  fetch_bytes += fetch_trailer.data();
+  auto fetch_back = FetchVnodeReply::decode(fetch_bytes);
+  ASSERT_FALSE(fetch_back.ok());
+  EXPECT_TRUE(fetch_back.status().is(StatusCode::kCorruption));
+
+  VnodeDigestReply digest;
+  digest.keys.resize(2);
+  std::string digest_bytes = digest.encode();
+  BinaryWriter digest_trailer;
+  digest_trailer.put_u32(1);
+  digest_trailer.put_u32(2);  // indices 0 and 1 exist
+  digest_trailer.put_u64(42);
+  digest_bytes += digest_trailer.data();
+  auto digest_back = VnodeDigestReply::decode(digest_bytes);
+  ASSERT_FALSE(digest_back.ok());
+  EXPECT_TRUE(digest_back.status().is(StatusCode::kCorruption));
+}
+
+TEST(Protocol, LwwOnlyRepliesCarryNoCausalTrailer) {
+  // Without causal state the encoding ends right after the LWW layout:
+  // a reply with no items is exactly the status byte and the item count.
+  FetchVnodeReply empty;
+  EXPECT_EQ(empty.encode().size(), 1u + 4u);
+
+  FetchVnodeReply fetch;
+  fetch.items.resize(1);
+  fetch.items[0].key = "k";
+  fetch.items[0].has_latest = true;
+  fetch.items[0].latest = {"v", 5, 0};
+  FetchVnodeReply with_causal = fetch;
+  with_causal.items[0].causal.update({}, "v", 5, 0, 100);
+  const std::string lww = fetch.encode();
+  const std::string causal = with_causal.encode();
+  // The causal encoding is the LWW encoding plus the trailer.
+  ASSERT_GT(causal.size(), lww.size());
+  EXPECT_EQ(causal.substr(0, lww.size()), lww);
+
+  VnodeDigestReply digest;
+  digest.keys.resize(1);
+  digest.keys[0].key = "k";
+  digest.truncated = true;
+  const std::string bytes = digest.encode();
+  // status, match, mismatched count, key count, key (u32 + 1 byte),
+  // has_latest, latest_ts, list_digest, truncated; then nothing.
+  EXPECT_EQ(bytes.size(), 1u + 1u + 4u + 4u + 5u + 1u + 8u + 8u + 1u);
+  EXPECT_EQ(bytes.back(), '\x01');
+}
+
 TEST(Protocol, TakeoverAndPurgeRoundTrip) {
   TakeoverRequest take;
   take.vnode = 42;

@@ -6,6 +6,7 @@
 // read repair must not be the mechanism that heals them.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -344,6 +345,100 @@ TEST(AntiEntropy, CoversHintsLostToEviction) {
   // back at full replication without a single read.
   ClusterInspector inspector(cluster);
   EXPECT_EQ(inspector.under_replicated(keys, 3), 0u);
+}
+
+TEST(AntiEntropy, CausalSiblingsFromBothSidesOfAPartitionConverge) {
+  SednaClusterConfig cfg = base_config();
+  cfg.node_template.hint_max_queued = 0;  // isolate the Merkle path
+  SednaCluster cluster(cfg);
+  ASSERT_TRUE(cluster.boot().ok());
+  auto& left = cluster.make_client();
+  auto& right = cluster.make_client();
+
+  const std::string key = "causal-split";
+  const auto replicas =
+      cluster.node(0).metadata().table().replicas_for_key(key);
+  ASSERT_EQ(replicas.size(), 3u);
+  cluster.network().partition(replicas[2], replicas[0]);
+  cluster.network().partition(replicas[2], replicas[1]);
+  // The right-hand client only reaches replicas[2], which coordinates its
+  // put on the last attempt and holds the sibling alone.
+  cluster.network().partition(right.id(), replicas[0]);
+  cluster.network().partition(right.id(), replicas[1]);
+
+  int settled = 0;
+  left.put_causal(key, "left", {},
+                  [&](const Status& st, const store::VersionVector&) {
+                    EXPECT_TRUE(st.ok());
+                    ++settled;
+                  });
+  right.put_causal(key, "right", {},
+                   [&](const Status&, const store::VersionVector&) {
+                     ++settled;
+                   });
+  ASSERT_TRUE(cluster.run_until([&] { return settled == 2; }));
+  auto only_right =
+      cluster.node(node_index(cluster, replicas[2])).local_store().read_causal(
+          key);
+  ASSERT_TRUE(only_right.ok());
+  ASSERT_EQ(only_right->siblings.size(), 1u);
+  EXPECT_EQ(only_right->siblings[0].value, "right");
+
+  cluster.network().heal_all();
+  cluster.run_for(sim_sec(6));
+
+  // No reads were issued: anti-entropy alone joined the two records.
+  auto first =
+      cluster.node(node_index(cluster, replicas[0])).local_store().read_causal(
+          key);
+  ASSERT_TRUE(first.ok());
+  std::vector<std::string> values;
+  for (const auto& sib : first->siblings) values.push_back(sib.value);
+  std::sort(values.begin(), values.end());
+  EXPECT_EQ(values, (std::vector<std::string>{"left", "right"}));
+  for (NodeId r : replicas) {
+    auto got = cluster.node(node_index(cluster, r)).local_store().read_causal(
+        key);
+    ASSERT_TRUE(got.ok()) << "replica " << r;
+    EXPECT_EQ(*got, *first) << "replica " << r;
+  }
+  EXPECT_EQ(sum_counter(cluster, "coordinator.read_repairs"), 0u);
+}
+
+TEST(AntiEntropy, CausalRecordAndValueListOnDifferentReplicasConverge) {
+  SednaClusterConfig cfg = base_config();
+  cfg.node_template.hint_max_queued = 0;
+  SednaCluster cluster(cfg);
+  ASSERT_TRUE(cluster.boot().ok());
+
+  // One replica holds only a causal record of the key, another only a
+  // write_all element: each side's digest summary differs in both parts.
+  const std::string key = "causal-and-list";
+  const auto replicas =
+      cluster.node(0).metadata().table().replicas_for_key(key);
+  ASSERT_EQ(replicas.size(), 3u);
+  SednaNode& with_record = cluster.node(node_index(cluster, replicas[0]));
+  SednaNode& with_list = cluster.node(node_index(cluster, replicas[1]));
+  auto record = with_record.local_store().write_causal(
+      key, {}, "record", with_record.next_ts(), 0, with_record.id());
+  ASSERT_TRUE(record.ok());
+  ASSERT_TRUE(with_list.local_store()
+                  .write_all(key, with_list.id(), "element",
+                             with_list.next_ts())
+                  .ok());
+
+  cluster.run_for(sim_sec(6));
+
+  for (NodeId r : replicas) {
+    store::LocalStore& store = cluster.node(node_index(cluster, r)).local_store();
+    auto causal = store.read_causal(key);
+    ASSERT_TRUE(causal.ok()) << "replica " << r;
+    EXPECT_EQ(*causal, *record) << "replica " << r;
+    auto list = store.read_all(key);
+    ASSERT_TRUE(list.ok()) << "replica " << r;
+    ASSERT_EQ(list->size(), 1u) << "replica " << r;
+    EXPECT_EQ((*list)[0].value, "element") << "replica " << r;
+  }
 }
 
 // ---- Client retry backoff ----------------------------------------------
