@@ -19,6 +19,24 @@ constexpr SimDuration kAliveVerifyTtl = sim_ms(500);
 /// number could be 16 or 8" (Section III.D).
 constexpr std::size_t kTransferWindow = 8;
 
+/// End-to-end deadline the leader grants one vnode migration
+/// (snapshot + delta catch-up + cutover + drain).
+constexpr SimDuration kMigrationTimeout = sim_sec(10);
+
+/// Hints delivered to one target per replay round (rate bound).
+constexpr std::size_t kHintReplayBatch = 32;
+
+/// Digest buckets per vnode in the LocalStore Merkle tree.
+constexpr std::uint32_t kDigestBuckets = 16;
+
+/// Key summaries per digest reply (bounds message size per round).
+constexpr std::size_t kAntiEntropyMaxKeys = 512;
+
+/// Tracked entries in the coordinator's SpaceSaving hot-key sketch (keys
+/// whose client-request frequency exceeds requests/capacity are
+/// guaranteed tracked).
+constexpr std::size_t kHotKeyCapacity = 64;
+
 /// Runs `task(i, done)` for every i in [0, n) with at most kTransferWindow
 /// tasks in flight, then calls `all_done`. Only a completion callback ever
 /// calls `all_done`, so it runs exactly once. The window is owned by the
@@ -215,7 +233,7 @@ SednaNode::SednaNode(sim::Network& net, NodeId id, SednaNodeConfig config)
             return zc;
           }()),
       metadata_(zk_, *this),
-      hot_keys_(config_.hot_key_capacity),
+      hot_keys_(kHotKeyCapacity),
       traffic_rebalancer_(config_.traffic_rebalance) {
   store_ = std::make_unique<store::LocalStore>(
       config_.store, [this] { return sim().now(); });
@@ -273,7 +291,7 @@ void SednaNode::start(ReadyCallback on_ready) {
                    // Merkle leaf cells sized to the ring; rebuilt from the
                    // (possibly persistence-recovered) store content.
                    store_->enable_digests(metadata_.table().total_vnodes(),
-                                          config_.digest_buckets);
+                                          kDigestBuckets);
                    sim().schedule_periodic(config_.load_report_interval,
                                            [this] {
                                              set_trace_context({});
@@ -859,7 +877,7 @@ void SednaNode::handle_client_write(const sim::Message& msg) {
   const auto replicas = metadata_.table().replicas_for_vnode(vnode);
   const auto cfg = metadata_.config();
   metrics_.counter("coordinator.writes").add(1);
-  if (config_.hot_key_capacity > 0) hot_keys_.record(req.key);
+  hot_keys_.record(req.key);
   const SimTime started = now();
   const TraceId trace = trace_context().trace_id;
   const SpanId coord_span = begin_span("coord.write", TraceStage::kService);
@@ -980,7 +998,7 @@ void SednaNode::handle_client_read(const sim::Message& msg) {
   const auto replicas = metadata_.table().replicas_for_vnode(vnode);
   const auto cfg = metadata_.config();
   metrics_.counter("coordinator.reads").add(1);
-  if (config_.hot_key_capacity > 0) hot_keys_.record(req.key);
+  hot_keys_.record(req.key);
   const SimTime started = now();
   const TraceId trace = trace_context().trace_id;
   const SpanId coord_span = begin_span("coord.read", TraceStage::kService);
@@ -1740,7 +1758,7 @@ void SednaNode::replay_hints_to(NodeId target) {
   q.in_flight = true;
   std::vector<std::string> batch;
   for (const auto& [key, hint] : q.hints) {
-    if (batch.size() >= config_.hint_replay_batch) break;
+    if (batch.size() >= kHintReplayBatch) break;
     batch.push_back(key);
   }
   if (batch.empty()) {
@@ -2055,7 +2073,7 @@ void SednaNode::run_traffic_plan(const ring::ImbalanceTable& table,
                           " to=" + std::to_string(m.to));
     MigrateVnodeRequest req{m.vnode, m.from};
     call_with_timeout(
-        m.to, kMsgMigrateVnode, req.encode(), config_.migration_timeout,
+        m.to, kMsgMigrateVnode, req.encode(), kMigrationTimeout,
         [this, root = mroot.span_id](const Status& st,
                                      const std::string& body) {
           if (migrations_dispatched_ > 0) --migrations_dispatched_;
@@ -2341,7 +2359,7 @@ void SednaNode::handle_vnode_digest(const sim::Message& msg) {
   for_each_vnode_item(
       req->vnode, &rep.mismatched,
       [this, &rep](const store::Item& item) {
-        if (rep.keys.size() >= config_.anti_entropy_max_keys) {
+        if (rep.keys.size() >= kAntiEntropyMaxKeys) {
           rep.truncated = true;
           return;
         }

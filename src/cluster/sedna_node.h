@@ -66,9 +66,6 @@ struct SednaNodeConfig {
   /// Planner policy: CV trigger, headroom, per-round caps, cooldown,
   /// isolate ("split") path for persistently-hot single vnodes.
   TrafficRebalancerConfig traffic_rebalance;
-  /// End-to-end deadline the leader grants one vnode migration
-  /// (snapshot + delta catch-up + cutover + drain).
-  SimDuration migration_timeout = sim_sec(10);
 
   // --- Repair subsystem (hinted handoff + Merkle anti-entropy) ----------
   /// Max hints held across all targets (capped coordinator memory);
@@ -81,20 +78,10 @@ struct SednaNodeConfig {
   /// or deliveries keep failing (doubles up to the max, ±25% jitter).
   SimDuration hint_backoff_initial = sim_ms(100);
   SimDuration hint_backoff_max = sim_sec(5);
-  /// Hints delivered to one target per replay round (rate bound).
-  std::uint32_t hint_replay_batch = 32;
   /// Anti-entropy daemon tick: each round syncs the least-recently-synced
   /// replicated vnodes against the other replica holders. 0 disables.
   SimDuration anti_entropy_interval = sim_sec(2);
   std::uint32_t anti_entropy_vnodes_per_round = 1;
-  /// Digest buckets per vnode in the LocalStore Merkle tree.
-  std::uint32_t digest_buckets = 16;
-  /// Key summaries per digest reply (bounds message size per round).
-  std::uint32_t anti_entropy_max_keys = 512;
-  /// Tracked entries in the coordinator's SpaceSaving hot-key sketch
-  /// (keys whose client-request frequency exceeds requests/capacity are
-  /// guaranteed tracked). 0 disables hot-key detection.
-  std::size_t hot_key_capacity = 64;
 
   // --- Overload safety (admission control + degraded reads) -------------
   // The ingress-queue bound itself lives in `host.max_ingress_queue`

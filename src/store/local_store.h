@@ -215,10 +215,14 @@ class LocalStore {
   struct Shard;
   struct DigestTree;
 
+  enum class SetMode { kUnconditional, kAddOnly, kReplaceOnly };
+
   Status set_impl(std::string_view key, std::string_view value,
-                  std::uint32_t flags, std::uint64_t ttl, int mode_raw);
-  Status concat_impl(std::string_view key, std::string_view piece,
-                     bool after);
+                  std::uint32_t flags, std::uint64_t ttl, SetMode mode);
+  template <typename Edit>
+  Status edit_latest(std::string_view key, bool count_cas, Edit edit);
+  Result<std::uint64_t> step_counter(std::string_view key,
+                                     std::uint64_t delta, bool up);
 
   [[nodiscard]] Shard& shard_for(std::string_view key);
   [[nodiscard]] const Shard& shard_for(std::string_view key) const;

@@ -100,6 +100,7 @@ Result<std::uint64_t> PersistenceManager::recover() {
   std::uint64_t applied = snap.value();
 
   if (config_.mode == PersistMode::kWal) {
+    std::uint64_t intact_end = 0;
     auto replayed = WriteAheadLog::replay(
         wal_path(), [this](const WalRecord& rec) {
           switch (rec.type) {
@@ -119,9 +120,20 @@ Result<std::uint64_t> PersistenceManager::recover() {
               break;
             }
           }
-        });
+        },
+        &intact_end);
     if (!replayed.ok()) return replayed.status();
     applied += replayed.value();
+    // Cut a torn or corrupt tail off before the next append: left in
+    // place, it would hide every record appended after it from the next
+    // replay.
+    std::error_code ec;
+    const std::uint64_t size = std::filesystem::file_size(wal_path(), ec);
+    if (!ec && size > intact_end) {
+      if (log_ != nullptr) log_->close();  // append() reopens it
+      std::filesystem::resize_file(wal_path(), intact_end, ec);
+      if (ec) return Status::IoError("cannot truncate wal: " + wal_path());
+    }
   }
   return applied;
 }

@@ -61,7 +61,8 @@ class PersistenceManager {
   /// Writes a full snapshot; under kWal also truncates the log.
   Status flush_snapshot();
 
-  /// Restores store state: snapshot first, then WAL replay.
+  /// Restores store state: snapshot first, then WAL replay. A torn or
+  /// corrupt log tail is truncated, so later appends replay too.
   /// Returns total records/items applied.
   Result<std::uint64_t> recover();
 

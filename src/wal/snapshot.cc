@@ -4,7 +4,7 @@
 #include <cstring>
 
 #include "common/codec.h"
-#include "common/crc32.h"
+#include "wal/frame.h"
 
 namespace sedna::wal {
 
@@ -33,15 +33,6 @@ std::string encode_item(const store::Item& item) {
   // were causally written. Older snapshots simply end the frame here.
   if (!item.causal.empty()) item.causal.encode(w);
   return std::move(w).take();
-}
-
-bool write_frame(std::FILE* f, const std::string& payload) {
-  BinaryWriter frame(payload.size() + 8);
-  frame.put_u32(static_cast<std::uint32_t>(payload.size()));
-  frame.put_u32(crc32(payload));
-  frame.put_bytes_raw(payload);
-  const std::string& b = frame.data();
-  return std::fwrite(b.data(), 1, b.size(), f) == b.size();
 }
 
 }  // namespace
@@ -95,20 +86,8 @@ Result<std::uint64_t> Snapshot::load(const std::string& path,
   }
 
   std::uint64_t restored = 0;
-  for (;;) {
-    unsigned char header[8];
-    if (std::fread(header, 1, sizeof header, f) != sizeof header) break;
-    std::uint32_t len = 0, expected_crc = 0;
-    for (int i = 0; i < 4; ++i) {
-      len |= static_cast<std::uint32_t>(header[i]) << (8 * i);
-      expected_crc |= static_cast<std::uint32_t>(header[4 + i]) << (8 * i);
-    }
-    if (len == 0 || len > (64u << 20)) break;
-    std::string payload(len, '\0');
-    if (std::fread(payload.data(), 1, len, f) != len) break;
-    if (crc32(payload) != expected_crc) break;
-
-    BinaryReader r(payload);
+  while (auto payload = read_frame(f)) {
+    BinaryReader r(*payload);
     const std::string key = r.get_string();
     const bool has_latest = r.get_bool();
     if (has_latest) {

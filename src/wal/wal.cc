@@ -1,10 +1,7 @@
 #include "wal/wal.h"
 
-#include <cstring>
-#include <vector>
-
 #include "common/codec.h"
-#include "common/crc32.h"
+#include "wal/frame.h"
 
 namespace sedna::wal {
 
@@ -60,16 +57,9 @@ Status WriteAheadLog::append(const WalRecord& record) {
     if (!st.ok()) return st;
   }
   const std::string payload = record.encode();
-  BinaryWriter frame(payload.size() + 8);
-  frame.put_u32(static_cast<std::uint32_t>(payload.size()));
-  frame.put_u32(crc32(payload));
-  frame.put_bytes_raw(payload);
-  const std::string& bytes = frame.data();
-  if (std::fwrite(bytes.data(), 1, bytes.size(), file_) != bytes.size()) {
-    return Status::IoError("wal append failed");
-  }
+  if (!write_frame(file_, payload)) return Status::IoError("wal append failed");
   ++appended_;
-  bytes_ += bytes.size();
+  bytes_ += kFrameHeaderBytes + payload.size();
   return Status::Ok();
 }
 
@@ -81,30 +71,22 @@ Status WriteAheadLog::sync() {
 
 Result<std::uint64_t> WriteAheadLog::replay(
     const std::string& path,
-    const std::function<void(const WalRecord&)>& fn) {
+    const std::function<void(const WalRecord&)>& fn,
+    std::uint64_t* intact_end) {
+  if (intact_end != nullptr) *intact_end = 0;
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) return std::uint64_t{0};  // no log = nothing to recover
 
   std::uint64_t recovered = 0;
-  for (;;) {
-    unsigned char header[8];
-    if (std::fread(header, 1, sizeof header, f) != sizeof header) break;
-    std::uint32_t len = 0;
-    std::uint32_t expected_crc = 0;
-    for (int i = 0; i < 4; ++i) {
-      len |= static_cast<std::uint32_t>(header[i]) << (8 * i);
-      expected_crc |= static_cast<std::uint32_t>(header[4 + i]) << (8 * i);
-    }
-    // Cap record size defensively: a corrupt length must not OOM us.
-    if (len == 0 || len > (64u << 20)) break;
-    std::string payload(len, '\0');
-    if (std::fread(payload.data(), 1, len, f) != len) break;  // torn tail
-    if (crc32(payload) != expected_crc) break;                // corrupt
-    auto rec = WalRecord::decode(payload);
+  std::uint64_t end = 0;
+  while (auto payload = read_frame(f)) {
+    auto rec = WalRecord::decode(*payload);
     if (!rec.ok()) break;
     fn(rec.value());
     ++recovered;
+    end += kFrameHeaderBytes + payload->size();
   }
+  if (intact_end != nullptr) *intact_end = end;
   std::fclose(f);
   return recovered;
 }

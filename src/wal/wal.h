@@ -2,10 +2,9 @@
 // (Table I, "Persistency Strategy: periodically flush or write-ahead logs
 // according [to] users' needs").
 //
-// Format: a stream of records, each framed as
-//   u32 payload_length | u32 crc32(payload) | payload
-// Replay stops cleanly at the first torn/corrupt frame — exactly the state
-// a crash mid-append leaves behind.
+// Format: a stream of records, one frame each (wal/frame.h). Replay stops
+// cleanly at the first torn/corrupt frame — exactly the state a crash
+// mid-append leaves behind.
 #pragma once
 
 #include <cstdint>
@@ -63,10 +62,12 @@ class WriteAheadLog {
 
   /// Replays all intact records from the start of the file, invoking `fn`
   /// for each. A torn tail is not an error — replay just stops there and
-  /// reports how many records were recovered.
+  /// reports how many records were recovered. `intact_end` (optional)
+  /// receives the file offset just past the last record replayed.
   static Result<std::uint64_t> replay(
       const std::string& path,
-      const std::function<void(const WalRecord&)>& fn);
+      const std::function<void(const WalRecord&)>& fn,
+      std::uint64_t* intact_end = nullptr);
 
   /// Truncates the log (after a snapshot made its prefix redundant).
   Status reset();

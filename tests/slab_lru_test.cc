@@ -164,6 +164,34 @@ TEST(Lru, GetsAndReadAllAlsoTouch) {
   EXPECT_FALSE(store.read_all("y").ok());  // y was the coldest
 }
 
+TEST(Lru, IncrAndDecrStayUnderBudget) {
+  // Budget for exactly two 9-digit counters: incr growing one to ten
+  // digits must evict, like every other write that grows an item.
+  LocalStoreConfig cfg = one_shard();
+  LocalStore probe(cfg);
+  probe.set("a", "999999999");
+  cfg.memory_budget_bytes = probe.stats().bytes * 2;
+
+  LocalStore store(cfg);
+  const auto under_budget = [&](const char* op) {
+    EXPECT_LE(store.stats().bytes, cfg.memory_budget_bytes) << op;
+  };
+  store.set("a", "999999999");
+  under_budget("set a");
+  store.set("b", "999999999");
+  under_budget("set b");
+  ASSERT_EQ(store.size(), 2u);
+  ASSERT_EQ(store.incr("a", 1).value(), 1000000000u);
+  under_budget("incr a");
+  EXPECT_FALSE(store.get("b").ok());  // b was the coldest
+  EXPECT_EQ(store.get("a")->value, "1000000000");
+  EXPECT_EQ(store.stats().evictions, 1u);
+  store.set("b", "999999999");
+  under_budget("set b again");
+  ASSERT_EQ(store.decr("b", 1).value(), 999999998u);
+  under_budget("decr b");
+}
+
 TEST(Lru, BudgetSplitsAcrossShards) {
   LocalStoreConfig cfg;
   cfg.shards = 4;

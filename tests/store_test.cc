@@ -291,6 +291,27 @@ TEST(Eviction, RecentlyUsedSurvive) {
   EXPECT_TRUE(store.get("hot").ok());
 }
 
+TEST(Eviction, CausalWriteReturnsItsRecordEvenWhenTheItemIsEvicted) {
+  // The written item alone exceeds the budget, so the budget check that
+  // ends the write evicts it; the returned record must not be read from
+  // the freed item (run under tests/run_sanitized.sh to see the read).
+  LocalStoreConfig cfg;
+  cfg.shards = 1;
+  cfg.memory_budget_bytes = 256;
+  LocalStore store(cfg);
+  const std::string value(1000, 'c');
+  auto rec = store.write_causal("k", {}, value, 7, 3, 4);
+  ASSERT_TRUE(rec.ok());
+  ASSERT_EQ(rec->siblings.size(), 1u);
+  EXPECT_EQ(rec->siblings[0].value, value);
+  EXPECT_EQ(rec->siblings[0].ts, 7u);
+  EXPECT_EQ(rec->siblings[0].flags, 3u);
+  EXPECT_EQ(rec->siblings[0].dot, (Dot{4, 1}));
+  EXPECT_EQ(rec->clock.get(4), 1u);
+  EXPECT_EQ(store.size(), 0u);  // the oversized item was evicted
+  EXPECT_EQ(store.stats().bytes, 0u);
+}
+
 TEST(Eviction, UnlimitedBudgetNeverEvicts) {
   LocalStore store;
   for (int i = 0; i < 5000; ++i) {

@@ -132,6 +132,30 @@ TEST(Wal, TornTailStopsReplayCleanly) {
   EXPECT_EQ(replayed, 9u);
 }
 
+TEST(Wal, ReplayReportsWhereTheLastIntactRecordEnds) {
+  TempDir tmp;
+  {
+    WriteAheadLog log(tmp.path("wal.log"));
+    ASSERT_TRUE(log.open().ok());
+    for (int i = 0; i < 4; ++i) {
+      log.append(make_record(WalRecord::Type::kWriteLatest, "key", "val", 1));
+    }
+  }
+  const auto size = std::filesystem::file_size(tmp.path("wal.log"));
+  std::uint64_t intact_end = 0;
+  auto n = WriteAheadLog::replay(tmp.path("wal.log"),
+                                 [](const WalRecord&) {}, &intact_end);
+  ASSERT_TRUE(n.ok());
+  EXPECT_EQ(intact_end, size);
+
+  std::filesystem::resize_file(tmp.path("wal.log"), size - 1);
+  n = WriteAheadLog::replay(tmp.path("wal.log"), [](const WalRecord&) {},
+                            &intact_end);
+  ASSERT_TRUE(n.ok());
+  EXPECT_EQ(n.value(), 3u);
+  EXPECT_EQ(intact_end, size / 4 * 3);  // four equal frames, one torn
+}
+
 TEST(Wal, CorruptPayloadStopsReplay) {
   TempDir tmp;
   {
@@ -285,6 +309,45 @@ TEST(Persistence, WalModeRecoversEverything) {
   auto n = pm.recover();
   ASSERT_TRUE(n.ok());
   EXPECT_EQ(restored.size(), 200u);
+}
+
+TEST(Persistence, AppendsAfterATornTailSurviveTheNextRecovery) {
+  TempDir tmp;
+  PersistenceConfig cfg;
+  cfg.mode = PersistMode::kWal;
+  cfg.dir = tmp.dir();
+  const auto write = [](store::LocalStore& store, PersistenceManager& pm,
+                        int i) {
+    const std::string key = "k" + std::to_string(i);
+    store.write_latest(key, "v", static_cast<Timestamp>(i + 1));
+    ASSERT_TRUE(pm.on_write_latest(key, "v", static_cast<Timestamp>(i + 1), 0)
+                    .ok());
+  };
+  {
+    store::LocalStore store;
+    PersistenceManager pm(cfg, store);
+    ASSERT_TRUE(pm.start().ok());
+    for (int i = 0; i < 10; ++i) write(store, pm, i);
+  }
+  // A crash mid-append tears the last record.
+  const auto size = std::filesystem::file_size(tmp.path("wal.log"));
+  std::filesystem::resize_file(tmp.path("wal.log"), size - 3);
+  {
+    store::LocalStore store;
+    PersistenceManager pm(cfg, store);
+    ASSERT_TRUE(pm.start().ok());
+    ASSERT_TRUE(pm.recover().ok());
+    ASSERT_EQ(store.size(), 9u);
+    for (int i = 10; i < 15; ++i) write(store, pm, i);
+  }
+  store::LocalStore restored;
+  PersistenceManager pm(cfg, restored);
+  ASSERT_TRUE(pm.start().ok());
+  ASSERT_TRUE(pm.recover().ok());
+  EXPECT_EQ(restored.size(), 14u);
+  for (int i = 0; i < 15; ++i) {
+    EXPECT_EQ(restored.get("k" + std::to_string(i)).ok(), i != 9) << i;
+  }
 }
 
 TEST(Persistence, WalModeRecoversDeletes) {
