@@ -17,12 +17,11 @@
 #include "store/dvv.h"
 #include "store/item.h"
 
-// Causal (DVV) wire extensions ride in *trailing optional sections*: they
-// are encoded only when actually carrying causal state, and decoders read
-// them only when bytes remain after the legacy layout. Messages on the
-// default LWW path therefore keep their exact pre-causal byte size, which
-// matters because the simulated network charges delivery delay by payload
-// size — an unconditional field would shift every seeded benchmark.
+// Each message declares its layout once in `wire` (common/codec.h).
+// Causal (DVV) and audit extensions ride in trailing sections (io.tail,
+// io.sparse): encoded only when carrying state, so messages on the
+// default LWW path keep their exact pre-causal byte size — the simulated
+// network charges delivery delay by payload size.
 
 namespace sedna::cluster {
 
@@ -69,45 +68,16 @@ struct WriteRequest {
   store::VersionVector ctx;
   store::CausalRecord record;
 
-  [[nodiscard]] std::string encode() const {
-    BinaryWriter w(key.size() + value.size() + 40);
-    w.put_u8(static_cast<std::uint8_t>(mode));
-    w.put_string(key);
-    w.put_string(value);
-    w.put_u64(ts);
-    w.put_u32(flags);
-    w.put_u32(source);
-    w.put_u64(ttl);
-    if (causal_tag != kCausalNone) {
-      w.put_u8(causal_tag);
-      if (causal_tag == kCausalCtx) ctx.encode(w);
-      if (causal_tag == kCausalRecord) record.encode(w);
-    }
-    return std::move(w).take();
+  static void wire(auto& io, auto& m) {
+    io(m.mode, m.key, m.value, m.ts, m.flags, m.source, m.ttl);
+    if (!io.tail(m.causal_tag != kCausalNone, m.causal_tag)) return;
+    io.check(m.causal_tag == kCausalCtx || m.causal_tag == kCausalRecord);
+    if (m.causal_tag == kCausalCtx) io(m.ctx);
+    if (m.causal_tag == kCausalRecord) io(m.record);
   }
-
+  [[nodiscard]] std::string encode() const { return wire_encode(*this); }
   static Result<WriteRequest> decode(std::string_view bytes) {
-    BinaryReader r(bytes);
-    WriteRequest req;
-    req.mode = static_cast<WriteMode>(r.get_u8());
-    req.key = r.get_string();
-    req.value = r.get_string();
-    req.ts = r.get_u64();
-    req.flags = r.get_u32();
-    req.source = r.get_u32();
-    req.ttl = r.get_u64();
-    if (!r.failed() && !r.exhausted()) {
-      req.causal_tag = r.get_u8();
-      if (req.causal_tag == kCausalCtx) {
-        req.ctx = store::VersionVector::decode(r);
-      } else if (req.causal_tag == kCausalRecord) {
-        req.record = store::CausalRecord::decode(r);
-      } else {
-        r.mark_failed();
-      }
-    }
-    if (r.failed()) return Status::Corruption("bad write request");
-    return req;
+    return wire_decode<WriteRequest>(bytes, "bad write request");
   }
 };
 
@@ -120,23 +90,13 @@ struct WriteReply {
   bool has_ctx = false;
   store::VersionVector ctx;
 
-  [[nodiscard]] std::string encode() const {
-    BinaryWriter w(1);
-    w.put_u8(static_cast<std::uint8_t>(status));
-    if (has_ctx) ctx.encode(w);
-    return std::move(w).take();
+  static void wire(auto& io, auto& m) {
+    io(m.status);
+    io.tail(m.has_ctx, m.ctx);
   }
-
+  [[nodiscard]] std::string encode() const { return wire_encode(*this); }
   static Result<WriteReply> decode(std::string_view bytes) {
-    BinaryReader r(bytes);
-    WriteReply rep;
-    rep.status = static_cast<StatusCode>(r.get_u8());
-    if (!r.failed() && !r.exhausted()) {
-      rep.ctx = store::VersionVector::decode(r);
-      rep.has_ctx = !r.failed();
-    }
-    if (r.failed()) return Status::Corruption("bad write reply");
-    return rep;
+    return wire_decode<WriteReply>(bytes, "bad write reply");
   }
 };
 
@@ -147,22 +107,13 @@ struct ReadRequest {
   /// siblings) instead of the LWW projection.
   bool causal = false;
 
-  [[nodiscard]] std::string encode() const {
-    BinaryWriter w(key.size() + 8);
-    w.put_u8(static_cast<std::uint8_t>(mode));
-    w.put_string(key);
-    if (causal) w.put_bool(true);
-    return std::move(w).take();
+  static void wire(auto& io, auto& m) {
+    io(m.mode, m.key);
+    io.tail(m.causal, m.causal);
   }
-
+  [[nodiscard]] std::string encode() const { return wire_encode(*this); }
   static Result<ReadRequest> decode(std::string_view bytes) {
-    BinaryReader r(bytes);
-    ReadRequest req;
-    req.mode = static_cast<ReadMode>(r.get_u8());
-    req.key = r.get_string();
-    if (!r.failed() && !r.exhausted()) req.causal = r.get_bool();
-    if (r.failed()) return Status::Corruption("bad read request");
-    return req;
+    return wire_decode<ReadRequest>(bytes, "bad read request");
   }
 };
 
@@ -186,72 +137,27 @@ struct ReadReply {
   /// this much", not just "stale". 0 = not measured (auditing off).
   std::uint64_t staleness_us = 0;
 
-  // Trailing sections share one tag byte so they compose: bit 0 =
-  // causal record follows, bit 1 = staleness bound precedes it. The tag
-  // (and everything after) is emitted only when a section carries
-  // state, so plain LWW replies — and *every* reply with auditing off —
-  // stay byte-identical with the legacy layout (the PR 7 rule: payload
-  // size feeds the network delay model, so an unconditional byte would
-  // shift every seeded run).
+  // Trailing sections share one mask byte so they compose: bit 0 =
+  // causal record follows, bit 1 = staleness bound precedes it. The mask
+  // is a tail, so plain LWW replies — and *every* reply with auditing
+  // off — stay byte-identical with the legacy layout.
   static constexpr std::uint8_t kTrailCausal = 1;
   static constexpr std::uint8_t kTrailAudit = 2;
 
-  [[nodiscard]] std::string encode() const {
-    BinaryWriter w(latest.value.size() + 32);
-    w.put_u8(static_cast<std::uint8_t>(status));
-    w.put_bool(has_latest);
-    w.put_string(latest.value);
-    w.put_u64(latest.ts);
-    w.put_u32(latest.flags);
-    w.put_vector(value_list,
-                 [](BinaryWriter& out, const store::SourceValue& sv) {
-                   out.put_u32(sv.source);
-                   out.put_string(sv.value);
-                   out.put_u64(sv.ts);
-                 });
-    w.put_bool(stale);
-    const std::uint8_t trail =
-        static_cast<std::uint8_t>((has_causal ? kTrailCausal : 0) |
-                                  (staleness_us != 0 ? kTrailAudit : 0));
-    if (trail != 0) {
-      w.put_u8(trail);
-      if ((trail & kTrailAudit) != 0) w.put_u64(staleness_us);
-      if ((trail & kTrailCausal) != 0) causal.encode(w);
-    }
-    return std::move(w).take();
+  static void wire(auto& io, auto& m) {
+    io(m.status, m.has_latest, m.latest, m.value_list, m.stale);
+    auto mask = static_cast<std::uint8_t>(
+        (m.has_causal ? kTrailCausal : 0) |
+        (m.staleness_us != 0 ? kTrailAudit : 0));
+    if (!io.tail(mask != 0, mask)) return;
+    io.check(mask != 0 && (mask & ~(kTrailCausal | kTrailAudit)) == 0);
+    if ((mask & kTrailAudit) != 0) io(m.staleness_us);
+    if ((mask & kTrailCausal) != 0) io(m.causal);
+    wire_set(m.has_causal, (mask & kTrailCausal) != 0);
   }
-
+  [[nodiscard]] std::string encode() const { return wire_encode(*this); }
   static Result<ReadReply> decode(std::string_view bytes) {
-    BinaryReader r(bytes);
-    ReadReply rep;
-    rep.status = static_cast<StatusCode>(r.get_u8());
-    rep.has_latest = r.get_bool();
-    rep.latest.value = r.get_string();
-    rep.latest.ts = r.get_u64();
-    rep.latest.flags = r.get_u32();
-    rep.value_list = r.get_vector<store::SourceValue>(
-        [](BinaryReader& in) {
-          store::SourceValue sv;
-          sv.source = in.get_u32();
-          sv.value = in.get_string();
-          sv.ts = in.get_u64();
-          return sv;
-        });
-    rep.stale = r.get_bool();
-    if (!r.failed() && !r.exhausted()) {
-      const std::uint8_t trail = r.get_u8();
-      if (trail == 0 ||
-          (trail & ~(kTrailCausal | kTrailAudit)) != 0) {
-        return Status::Corruption("bad read reply trailer");
-      }
-      if ((trail & kTrailAudit) != 0) rep.staleness_us = r.get_u64();
-      if ((trail & kTrailCausal) != 0) {
-        rep.causal = store::CausalRecord::decode(r);
-        rep.has_causal = !r.failed();
-      }
-    }
-    if (r.failed()) return Status::Corruption("bad read reply");
-    return rep;
+    return wire_decode<ReadReply>(bytes, "bad read reply");
   }
 };
 
@@ -265,22 +171,19 @@ struct TransferItem {
   /// trailing sparse section (the per-item layout is not individually
   /// framed, so it cannot grow in place without breaking old readers).
   store::CausalRecord causal;
+
+  static void wire(auto& io, auto& m) {
+    io(m.key, m.has_latest, m.latest, m.value_list);
+  }
 };
 
 struct FetchVnodeRequest {
   VnodeId vnode = kInvalidVnode;
 
-  [[nodiscard]] std::string encode() const {
-    BinaryWriter w(4);
-    w.put_u32(vnode);
-    return std::move(w).take();
-  }
+  static void wire(auto& io, auto& m) { io(m.vnode); }
+  [[nodiscard]] std::string encode() const { return wire_encode(*this); }
   static Result<FetchVnodeRequest> decode(std::string_view bytes) {
-    BinaryReader r(bytes);
-    FetchVnodeRequest req;
-    req.vnode = r.get_u32();
-    if (r.failed()) return Status::Corruption("bad fetch request");
-    return req;
+    return wire_decode<FetchVnodeRequest>(bytes, "bad fetch request");
   }
 };
 
@@ -288,57 +191,13 @@ struct FetchVnodeReply {
   StatusCode status = StatusCode::kOk;
   std::vector<TransferItem> items;
 
-  [[nodiscard]] std::string encode() const {
-    BinaryWriter w;
-    w.put_u8(static_cast<std::uint8_t>(status));
-    w.put_vector(items, [](BinaryWriter& out, const TransferItem& item) {
-      out.put_string(item.key);
-      out.put_bool(item.has_latest);
-      out.put_string(item.latest.value);
-      out.put_u64(item.latest.ts);
-      out.put_u32(item.latest.flags);
-      out.put_vector(item.value_list,
-                     [](BinaryWriter& o2, const store::SourceValue& sv) {
-                       o2.put_u32(sv.source);
-                       o2.put_string(sv.value);
-                       o2.put_u64(sv.ts);
-                     });
-    });
-    // Trailing sparse causal section: records of the causal items only.
-    w.put_sparse(
-        items, [](const TransferItem& item) { return !item.causal.empty(); },
-        [](BinaryWriter& out, const TransferItem& item) {
-          item.causal.encode(out);
-        });
-    return std::move(w).take();
+  static void wire(auto& io, auto& m) {
+    io(m.status, m.items);
+    io.sparse(m.items, &TransferItem::causal);
   }
-
+  [[nodiscard]] std::string encode() const { return wire_encode(*this); }
   static Result<FetchVnodeReply> decode(std::string_view bytes) {
-    BinaryReader r(bytes);
-    FetchVnodeReply rep;
-    rep.status = static_cast<StatusCode>(r.get_u8());
-    rep.items = r.get_vector<TransferItem>([](BinaryReader& in) {
-      TransferItem item;
-      item.key = in.get_string();
-      item.has_latest = in.get_bool();
-      item.latest.value = in.get_string();
-      item.latest.ts = in.get_u64();
-      item.latest.flags = in.get_u32();
-      item.value_list = in.get_vector<store::SourceValue>(
-          [](BinaryReader& in2) {
-            store::SourceValue sv;
-            sv.source = in2.get_u32();
-            sv.value = in2.get_string();
-            sv.ts = in2.get_u64();
-            return sv;
-          });
-      return item;
-    });
-    r.get_sparse(rep.items, [](BinaryReader& in, TransferItem& item) {
-      item.causal = store::CausalRecord::decode(in);
-    });
-    if (r.failed()) return Status::Corruption("bad fetch reply");
-    return rep;
+    return wire_decode<FetchVnodeReply>(bytes, "bad fetch reply");
   }
 };
 
@@ -349,20 +208,10 @@ struct ScanRequest {
   std::string prefix;
   std::uint32_t limit = 1000;
 
-  [[nodiscard]] std::string encode() const {
-    BinaryWriter w(prefix.size() + 8);
-    w.put_string(prefix);
-    w.put_u32(limit);
-    return std::move(w).take();
-  }
-
+  static void wire(auto& io, auto& m) { io(m.prefix, m.limit); }
+  [[nodiscard]] std::string encode() const { return wire_encode(*this); }
   static Result<ScanRequest> decode(std::string_view bytes) {
-    BinaryReader r(bytes);
-    ScanRequest req;
-    req.prefix = r.get_string();
-    req.limit = r.get_u32();
-    if (r.failed()) return Status::Corruption("bad scan request");
-    return req;
+    return wire_decode<ScanRequest>(bytes, "bad scan request");
   }
 };
 
@@ -371,25 +220,10 @@ struct ScanReply {
   std::vector<std::string> keys;
   bool truncated = false;
 
-  [[nodiscard]] std::string encode() const {
-    BinaryWriter w;
-    w.put_u8(static_cast<std::uint8_t>(status));
-    w.put_vector(keys, [](BinaryWriter& out, const std::string& k) {
-      out.put_string(k);
-    });
-    w.put_bool(truncated);
-    return std::move(w).take();
-  }
-
+  static void wire(auto& io, auto& m) { io(m.status, m.keys, m.truncated); }
+  [[nodiscard]] std::string encode() const { return wire_encode(*this); }
   static Result<ScanReply> decode(std::string_view bytes) {
-    BinaryReader r(bytes);
-    ScanReply rep;
-    rep.status = static_cast<StatusCode>(r.get_u8());
-    rep.keys = r.get_vector<std::string>(
-        [](BinaryReader& in) { return in.get_string(); });
-    rep.truncated = r.get_bool();
-    if (r.failed()) return Status::Corruption("bad scan reply");
-    return rep;
+    return wire_decode<ScanReply>(bytes, "bad scan reply");
   }
 };
 
@@ -400,20 +234,10 @@ struct PurgeVnodeRequest {
   VnodeId vnode = kInvalidVnode;
   NodeId new_owner = kInvalidNode;
 
-  [[nodiscard]] std::string encode() const {
-    BinaryWriter w(8);
-    w.put_u32(vnode);
-    w.put_u32(new_owner);
-    return std::move(w).take();
-  }
-
+  static void wire(auto& io, auto& m) { io(m.vnode, m.new_owner); }
+  [[nodiscard]] std::string encode() const { return wire_encode(*this); }
   static Result<PurgeVnodeRequest> decode(std::string_view bytes) {
-    BinaryReader r(bytes);
-    PurgeVnodeRequest req;
-    req.vnode = r.get_u32();
-    req.new_owner = r.get_u32();
-    if (r.failed()) return Status::Corruption("bad purge request");
-    return req;
+    return wire_decode<PurgeVnodeRequest>(bytes, "bad purge request");
   }
 };
 
@@ -422,31 +246,18 @@ struct TakeoverRequest {
   /// Healthy replicas to pull the data from, in preference order.
   std::vector<NodeId> sources;
 
-  [[nodiscard]] std::string encode() const {
-    BinaryWriter w(16);
-    w.put_u32(vnode);
-    w.put_u32(static_cast<std::uint32_t>(sources.size()));
-    for (NodeId n : sources) w.put_u32(n);
-    return std::move(w).take();
-  }
-
+  static void wire(auto& io, auto& m) { io(m.vnode, m.sources); }
+  [[nodiscard]] std::string encode() const { return wire_encode(*this); }
   static Result<TakeoverRequest> decode(std::string_view bytes) {
-    BinaryReader r(bytes);
-    TakeoverRequest req;
-    req.vnode = r.get_u32();
-    const std::uint32_t n = r.get_u32();
-    for (std::uint32_t i = 0; i < n && !r.failed(); ++i) {
-      req.sources.push_back(r.get_u32());
-    }
-    if (r.failed()) return Status::Corruption("bad takeover request");
-    return req;
+    return wire_decode<TakeoverRequest>(bytes, "bad takeover request");
   }
 };
 
 /// Hinted handoff: a coordinator replays a write that a replica missed
 /// while it was down (Section III.C's quorum leaves W..N-1 replicas
 /// eligible for hints). The payload is the original replica write — same
-/// pinned timestamp, so replay is idempotent under LWW.
+/// pinned timestamp, so replay is idempotent under LWW — carried as one
+/// length-prefixed inner message.
 struct HintDeliverRequest {
   WriteRequest write;
 
@@ -462,9 +273,7 @@ struct HintDeliverRequest {
     if (r.failed()) return Status::Corruption("bad hint request");
     auto w = WriteRequest::decode(inner);
     if (!w.ok()) return w.status();
-    HintDeliverRequest req;
-    req.write = std::move(w.value());
-    return req;
+    return HintDeliverRequest{std::move(w).value()};
   }
 };
 
@@ -473,18 +282,10 @@ struct HintAckReply {
   /// dropped). Anything else: keep the hint and retry later.
   StatusCode status = StatusCode::kOk;
 
-  [[nodiscard]] std::string encode() const {
-    BinaryWriter w(1);
-    w.put_u8(static_cast<std::uint8_t>(status));
-    return std::move(w).take();
-  }
-
+  static void wire(auto& io, auto& m) { io(m.status); }
+  [[nodiscard]] std::string encode() const { return wire_encode(*this); }
   static Result<HintAckReply> decode(std::string_view bytes) {
-    BinaryReader r(bytes);
-    HintAckReply rep;
-    rep.status = static_cast<StatusCode>(r.get_u8());
-    if (r.failed()) return Status::Corruption("bad hint ack");
-    return rep;
+    return wire_decode<HintAckReply>(bytes, "bad hint ack");
   }
 };
 
@@ -497,26 +298,10 @@ struct VnodeDigestRequest {
   std::uint64_t root = 0;
   std::vector<std::uint64_t> buckets;
 
-  [[nodiscard]] std::string encode() const {
-    BinaryWriter w(16 + buckets.size() * 8);
-    w.put_u32(vnode);
-    w.put_u64(root);
-    w.put_u32(static_cast<std::uint32_t>(buckets.size()));
-    for (std::uint64_t b : buckets) w.put_u64(b);
-    return std::move(w).take();
-  }
-
+  static void wire(auto& io, auto& m) { io(m.vnode, m.root, m.buckets); }
+  [[nodiscard]] std::string encode() const { return wire_encode(*this); }
   static Result<VnodeDigestRequest> decode(std::string_view bytes) {
-    BinaryReader r(bytes);
-    VnodeDigestRequest req;
-    req.vnode = r.get_u32();
-    req.root = r.get_u64();
-    const std::uint32_t n = r.get_u32();
-    for (std::uint32_t i = 0; i < n && !r.failed(); ++i) {
-      req.buckets.push_back(r.get_u64());
-    }
-    if (r.failed()) return Status::Corruption("bad digest request");
-    return req;
+    return wire_decode<VnodeDigestRequest>(bytes, "bad digest request");
   }
 };
 
@@ -533,6 +318,10 @@ struct KeySummary {
   /// converged, different digests mean "exchange records and join".
   /// Carried in VnodeDigestReply's trailing sparse section.
   std::uint64_t causal_digest = 0;
+
+  static void wire(auto& io, auto& m) {
+    io(m.key, m.has_latest, m.latest_ts, m.list_digest);
+  }
 };
 
 struct VnodeDigestReply {
@@ -546,51 +335,13 @@ struct VnodeDigestReply {
   std::vector<KeySummary> keys;
   bool truncated = false;
 
-  [[nodiscard]] std::string encode() const {
-    BinaryWriter w;
-    w.put_u8(static_cast<std::uint8_t>(status));
-    w.put_bool(match);
-    w.put_u32(static_cast<std::uint32_t>(mismatched.size()));
-    for (std::uint32_t b : mismatched) w.put_u32(b);
-    w.put_vector(keys, [](BinaryWriter& out, const KeySummary& k) {
-      out.put_string(k.key);
-      out.put_bool(k.has_latest);
-      out.put_u64(k.latest_ts);
-      out.put_u64(k.list_digest);
-    });
-    w.put_bool(truncated);
-    // Trailing sparse causal-digest section: keys with causal state only.
-    w.put_sparse(
-        keys, [](const KeySummary& k) { return k.causal_digest != 0; },
-        [](BinaryWriter& out, const KeySummary& k) {
-          out.put_u64(k.causal_digest);
-        });
-    return std::move(w).take();
+  static void wire(auto& io, auto& m) {
+    io(m.status, m.match, m.mismatched, m.keys, m.truncated);
+    io.sparse(m.keys, &KeySummary::causal_digest);
   }
-
+  [[nodiscard]] std::string encode() const { return wire_encode(*this); }
   static Result<VnodeDigestReply> decode(std::string_view bytes) {
-    BinaryReader r(bytes);
-    VnodeDigestReply rep;
-    rep.status = static_cast<StatusCode>(r.get_u8());
-    rep.match = r.get_bool();
-    const std::uint32_t n = r.get_u32();
-    for (std::uint32_t i = 0; i < n && !r.failed(); ++i) {
-      rep.mismatched.push_back(r.get_u32());
-    }
-    rep.keys = r.get_vector<KeySummary>([](BinaryReader& in) {
-      KeySummary k;
-      k.key = in.get_string();
-      k.has_latest = in.get_bool();
-      k.latest_ts = in.get_u64();
-      k.list_digest = in.get_u64();
-      return k;
-    });
-    rep.truncated = r.get_bool();
-    r.get_sparse(rep.keys, [](BinaryReader& in, KeySummary& k) {
-      k.causal_digest = in.get_u64();
-    });
-    if (r.failed()) return Status::Corruption("bad digest reply");
-    return rep;
+    return wire_decode<VnodeDigestReply>(bytes, "bad digest reply");
   }
 };
 
@@ -605,20 +356,10 @@ struct MigrateVnodeRequest {
   /// against ZooKeeper at cutover time (versioned CAS).
   NodeId from = kInvalidNode;
 
-  [[nodiscard]] std::string encode() const {
-    BinaryWriter w(8);
-    w.put_u32(vnode);
-    w.put_u32(from);
-    return std::move(w).take();
-  }
-
+  static void wire(auto& io, auto& m) { io(m.vnode, m.from); }
+  [[nodiscard]] std::string encode() const { return wire_encode(*this); }
   static Result<MigrateVnodeRequest> decode(std::string_view bytes) {
-    BinaryReader r(bytes);
-    MigrateVnodeRequest req;
-    req.vnode = r.get_u32();
-    req.from = r.get_u32();
-    if (r.failed()) return Status::Corruption("bad migrate request");
-    return req;
+    return wire_decode<MigrateVnodeRequest>(bytes, "bad migrate request");
   }
 };
 
@@ -632,24 +373,36 @@ struct MigrateVnodeReply {
   /// Cutover (CAS + journal) latency in simulated microseconds.
   std::uint64_t cutover_us = 0;
 
-  [[nodiscard]] std::string encode() const {
-    BinaryWriter w(25);
-    w.put_u8(static_cast<std::uint8_t>(status));
-    w.put_u64(items);
-    w.put_u64(bytes);
-    w.put_u64(cutover_us);
-    return std::move(w).take();
+  static void wire(auto& io, auto& m) {
+    io(m.status, m.items, m.bytes, m.cutover_us);
   }
-
+  [[nodiscard]] std::string encode() const { return wire_encode(*this); }
   static Result<MigrateVnodeReply> decode(std::string_view bytes) {
-    BinaryReader r(bytes);
-    MigrateVnodeReply rep;
-    rep.status = static_cast<StatusCode>(r.get_u8());
-    rep.items = r.get_u64();
-    rep.bytes = r.get_u64();
-    rep.cutover_us = r.get_u64();
-    if (r.failed()) return Status::Corruption("bad migrate reply");
-    return rep;
+    return wire_decode<MigrateVnodeReply>(bytes, "bad migrate reply");
+  }
+};
+
+/// Payload of a vnode znode (/sedna/vnodes/vNNNNNN): its owner.
+struct VnodeOwner {
+  NodeId owner = kInvalidNode;
+
+  static void wire(auto& io, auto& m) { io(m.owner); }
+  [[nodiscard]] std::string encode() const { return wire_encode(*this); }
+  static Result<VnodeOwner> decode(std::string_view bytes) {
+    return wire_decode<VnodeOwner>(bytes, "bad vnode owner");
+  }
+};
+
+/// One change-journal entry (/sedna/changes/cNNNNNNNNNN): `vnode` moved
+/// to `owner`. Caches replay the journal to refresh their vnode tables.
+struct ChangeJournalEntry {
+  VnodeId vnode = kInvalidVnode;
+  NodeId owner = kInvalidNode;
+
+  static void wire(auto& io, auto& m) { io(m.vnode, m.owner); }
+  [[nodiscard]] std::string encode() const { return wire_encode(*this); }
+  static Result<ChangeJournalEntry> decode(std::string_view bytes) {
+    return wire_decode<ChangeJournalEntry>(bytes, "bad journal entry");
   }
 };
 

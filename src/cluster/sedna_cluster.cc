@@ -180,9 +180,7 @@ Status SednaCluster::bootstrap_metadata() {
     std::uint32_t pending = end - base;
     bool window_failed = false;
     for (std::uint32_t v = base; v < end; ++v) {
-      BinaryWriter w;
-      w.put_u32(table.owner(v));
-      zk.create(vnode_znode(v), std::move(w).take(),
+      zk.create(vnode_znode(v), VnodeOwner{table.owner(v)}.encode(),
                 zk::CreateMode::kPersistent,
                 [&pending, &window_failed](const Result<std::string>& r) {
                   if (!r.ok() &&

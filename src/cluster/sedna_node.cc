@@ -733,8 +733,9 @@ StatusCode SednaNode::apply_write(const WriteRequest& req) {
     st = store_->write_latest(req.key, req.value, req.ts, req.flags,
                               req.ttl);
     if (st.ok() && persistence_ != nullptr) {
-      st = persistence_->on_write_latest(req.key, req.value, req.ts,
-                                         req.flags);
+      st = persistence_->on_write_latest(
+          req.key, req.value, req.ts, req.flags,
+          req.ttl == 0 ? 0 : store_->clock_now() + req.ttl);
     }
   } else {
     st = store_->write_all(req.key, req.source, req.value, req.ts);
@@ -1429,18 +1430,15 @@ void SednaNode::start_recovery(VnodeId vnode, NodeId dead) {
                 finish_recovery(vnode);
                 return;
               }
-              BinaryReader r(got->first);
-              const NodeId current = r.get_u32();
-              if (r.failed() || current != dead) {
+              const auto current = VnodeOwner::decode(got->first);
+              if (!current.ok() || current->owner != dead) {
                 // Someone already recovered it.
-                if (!r.failed()) metadata_.apply_local(vnode, current);
+                if (current.ok()) metadata_.apply_local(vnode, current->owner);
                 finish_recovery(vnode);
                 return;
               }
-              BinaryWriter w;
-              w.put_u32(target);
               zk_.set(
-                  vnode_znode(vnode), std::move(w).take(),
+                  vnode_znode(vnode), VnodeOwner{target}.encode(),
                   got->second.version,
                   [this, vnode, target, sources](
                       const Result<zk::ZnodeStat>& set) {
@@ -1473,10 +1471,8 @@ void SednaNode::finish_recovery(VnodeId vnode) { recovering_.erase(vnode); }
 
 void SednaNode::append_change_journal(VnodeId vnode, NodeId owner,
                                       std::function<void()> done) {
-  BinaryWriter w;
-  w.put_u32(vnode);
-  w.put_u32(owner);
-  zk_.create(std::string(kZkChanges) + "/c", std::move(w).take(),
+  zk_.create(std::string(kZkChanges) + "/c",
+             ChangeJournalEntry{vnode, owner}.encode(),
              zk::CreateMode::kPersistentSequential,
              [done = std::move(done)](const Result<std::string>&) {
                if (done) done();
@@ -2205,9 +2201,8 @@ void SednaNode::begin_migration(
                   finish(false);
                   return;
                 }
-                BinaryReader r(got->first);
-                const NodeId current = r.get_u32();
-                if (r.failed() || current != from) {
+                const auto current = VnodeOwner::decode(got->first);
+                if (!current.ok() || current->owner != from) {
                   // Plan went stale: the slice moved under the leader's
                   // feet. Definite no-go — drop the pulled copy (unless
                   // the walk keeps us as a successor replica).
@@ -2217,10 +2212,8 @@ void SednaNode::begin_migration(
                   finish(false);
                   return;
                 }
-                BinaryWriter w;
-                w.put_u32(id());
                 zk_.set(
-                    vnode_znode(vnode), std::move(w).take(),
+                    vnode_znode(vnode), VnodeOwner{id()}.encode(),
                     got->second.version,
                     [this, vnode, from, state, finish, cut_start,
                      enter_phase, cutover](const Result<zk::ZnodeStat>& set) {

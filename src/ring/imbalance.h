@@ -53,6 +53,10 @@ struct VnodeLoadRow {
     return a.vnode == b.vnode && a.capacity_bytes == b.capacity_bytes &&
            a.reads == b.reads && a.writes == b.writes && a.misses == b.misses;
   }
+
+  static void wire(auto& io, auto& m) {
+    io(m.vnode, m.capacity_bytes, m.reads, m.writes, m.misses);
+  }
 };
 
 /// One vnode's replication-lag row (consistency auditor gossip): how far
@@ -67,6 +71,10 @@ struct VnodeLagRow {
   friend bool operator==(const VnodeLagRow& a, const VnodeLagRow& b) {
     return a.vnode == b.vnode && a.lag_us == b.lag_us &&
            a.stale_serves == b.stale_serves;
+  }
+
+  static void wire(auto& io, auto& m) {
+    io(m.vnode, m.lag_us, m.stale_serves);
   }
 };
 
@@ -86,69 +94,14 @@ struct RealNodeLoad {
   /// byte-identical with the legacy layout.
   std::vector<VnodeLagRow> lags;
 
-  [[nodiscard]] std::string encode() const {
-    BinaryWriter w(56 + vnodes.size() * 40);
-    w.put_u32(node);
-    w.put_u32(vnode_count);
-    w.put_u64(capacity_bytes);
-    w.put_u64(reads);
-    w.put_u64(writes);
-    w.put_u64(misses);
-    w.put_u32(static_cast<std::uint32_t>(vnodes.size()));
-    for (const VnodeLoadRow& v : vnodes) {
-      w.put_u32(v.vnode);
-      w.put_u64(v.capacity_bytes);
-      w.put_u64(v.reads);
-      w.put_u64(v.writes);
-      w.put_u64(v.misses);
-    }
-    if (!lags.empty()) {
-      w.put_u32(static_cast<std::uint32_t>(lags.size()));
-      for (const VnodeLagRow& l : lags) {
-        w.put_u32(l.vnode);
-        w.put_u64(l.lag_us);
-        w.put_u64(l.stale_serves);
-      }
-    }
-    return std::move(w).take();
+  static void wire(auto& io, auto& m) {
+    io(m.node, m.vnode_count, m.capacity_bytes, m.reads, m.writes, m.misses,
+       m.vnodes);
+    io.tail(!m.lags.empty(), m.lags);
   }
-
+  [[nodiscard]] std::string encode() const { return wire_encode(*this); }
   static Result<RealNodeLoad> decode(std::string_view bytes) {
-    BinaryReader r(bytes);
-    RealNodeLoad row;
-    row.node = r.get_u32();
-    row.vnode_count = r.get_u32();
-    row.capacity_bytes = r.get_u64();
-    row.reads = r.get_u64();
-    row.writes = r.get_u64();
-    row.misses = r.get_u64();
-    const std::uint32_t n = r.get_u32();
-    if (r.failed()) return Status::Corruption("bad load row");
-    row.vnodes.reserve(n);
-    for (std::uint32_t i = 0; i < n; ++i) {
-      VnodeLoadRow v;
-      v.vnode = r.get_u32();
-      v.capacity_bytes = r.get_u64();
-      v.reads = r.get_u64();
-      v.writes = r.get_u64();
-      v.misses = r.get_u64();
-      if (r.failed()) return Status::Corruption("bad vnode load row");
-      row.vnodes.push_back(v);
-    }
-    if (!r.failed() && !r.exhausted()) {
-      const std::uint32_t m = r.get_u32();
-      if (r.failed()) return Status::Corruption("bad lag section");
-      row.lags.reserve(m);
-      for (std::uint32_t i = 0; i < m; ++i) {
-        VnodeLagRow l;
-        l.vnode = r.get_u32();
-        l.lag_us = r.get_u64();
-        l.stale_serves = r.get_u64();
-        if (r.failed()) return Status::Corruption("bad lag row");
-        row.lags.push_back(l);
-      }
-    }
-    return row;
+    return wire_decode<RealNodeLoad>(bytes, "bad load row");
   }
 };
 

@@ -45,6 +45,8 @@ struct Dot {
     if (a.writer != b.writer) return a.writer < b.writer;
     return a.counter < b.counter;
   }
+
+  static void wire(auto& io, auto& m) { io(m.writer, m.counter); }
 };
 
 /// Per-key version vector: sorted (writer → max contiguous counter)
@@ -102,32 +104,13 @@ class VersionVector {
     return entries_;
   }
 
-  void encode(BinaryWriter& w) const {
-    w.put_u32(static_cast<std::uint32_t>(entries_.size()));
-    for (const auto& [node, counter] : entries_) {
-      w.put_u32(node);
-      w.put_u64(counter);
-    }
-  }
-
-  static VersionVector decode(BinaryReader& r) {
-    VersionVector vv;
-    const std::uint32_t n = r.get_u32();
-    vv.entries_.reserve(std::min<std::uint32_t>(n, 256));
-    NodeId prev = 0;
-    for (std::uint32_t i = 0; i < n && !r.failed(); ++i) {
-      const NodeId node = r.get_u32();
-      const std::uint64_t counter = r.get_u64();
-      // Reject unsorted/duplicate wire data rather than silently
-      // corrupting the semilattice invariants.
-      if (i > 0 && node <= prev) {
-        r.mark_failed();
-        return {};
-      }
-      prev = node;
-      vv.entries_.push_back({node, counter});
-    }
-    return vv;
+  static void wire(auto& io, auto& m) {
+    io(m.entries_);
+    // Reject unsorted/duplicate wire data rather than silently
+    // corrupting the semilattice invariants.
+    io.check(std::ranges::adjacent_find(m.entries_, [](auto& a, auto& b) {
+               return a.first >= b.first;
+             }) == m.entries_.end());
   }
 
   [[nodiscard]] std::uint64_t digest() const {
@@ -172,6 +155,8 @@ struct Sibling {
     return a.dot == b.dot && a.ts == b.ts && a.flags == b.flags &&
            a.value == b.value;
   }
+
+  static void wire(auto& io, auto& m) { io(m.value, m.ts, m.flags, m.dot); }
 };
 
 /// Full causal state of one key. Empty record (no clock entries, no
@@ -275,46 +260,15 @@ struct CausalRecord {
     return n;
   }
 
-  void encode(BinaryWriter& w) const {
-    clock.encode(w);
-    w.put_u32(static_cast<std::uint32_t>(siblings.size()));
-    for (const auto& s : siblings) {
-      w.put_string(s.value);
-      w.put_u64(s.ts);
-      w.put_u32(s.flags);
-      w.put_u32(s.dot.writer);
-      w.put_u64(s.dot.counter);
-    }
-  }
-
-  static CausalRecord decode(BinaryReader& r) {
-    CausalRecord rec;
-    rec.clock = VersionVector::decode(r);
-    const std::uint32_t n = r.get_u32();
-    rec.siblings.reserve(std::min<std::uint32_t>(n, 256));
-    for (std::uint32_t i = 0; i < n && !r.failed(); ++i) {
-      Sibling s;
-      s.value = r.get_string();
-      s.ts = r.get_u64();
-      s.flags = r.get_u32();
-      s.dot.writer = r.get_u32();
-      s.dot.counter = r.get_u64();
-      rec.siblings.push_back(std::move(s));
-    }
-    return rec;
-  }
-
+  static void wire(auto& io, auto& m) { io(m.clock, m.siblings); }
+  void encode(BinaryWriter& w) const { w(*this); }
   [[nodiscard]] std::string encode_string() const {
-    BinaryWriter w(bytes() + 16);
-    encode(w);
-    return std::move(w).take();
+    return wire_encode(*this);
   }
-
+  /// The decoded record, or an empty one when `payload` is malformed.
   static CausalRecord decode_string(std::string_view payload) {
-    BinaryReader r(payload);
-    CausalRecord rec = CausalRecord::decode(r);
-    if (r.failed()) return {};
-    return rec;
+    auto rec = wire_decode<CausalRecord>(payload, "bad causal record");
+    return rec.ok() ? std::move(rec).value() : CausalRecord{};
   }
 
   /// Content digest folded into the store's Merkle cells: covers clock

@@ -24,6 +24,8 @@ struct VersionedValue {
   friend bool operator==(const VersionedValue& a, const VersionedValue& b) {
     return a.ts == b.ts && a.value == b.value && a.flags == b.flags;
   }
+
+  static void wire(auto& io, auto& m) { io(m.value, m.ts, m.flags); }
 };
 
 /// One element of a write_all() value list: tagged by source server.
@@ -35,6 +37,8 @@ struct SourceValue {
   friend bool operator==(const SourceValue& a, const SourceValue& b) {
     return a.source == b.source && a.ts == b.ts && a.value == b.value;
   }
+
+  static void wire(auto& io, auto& m) { io(m.source, m.value, m.ts); }
 };
 
 /// In-memory item. Lives in a shard's bucket chain and on its LRU list

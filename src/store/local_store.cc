@@ -663,6 +663,15 @@ Status LocalStore::touch(std::string_view key, std::uint64_t ttl) {
   return Status::Ok();
 }
 
+Status LocalStore::expire_at(std::string_view key, std::uint64_t at) {
+  Shard& s = shard_for(key);
+  std::lock_guard lock(s.mu);
+  Item* it = s.find_live(key, bucket_hash(key), clock_now());
+  if (it == nullptr) return Status::NotFound();
+  it->expires_at = at;
+  return Status::Ok();
+}
+
 void LocalStore::set_track_changes(bool on) {
   for (auto& s : shards_) {
     std::lock_guard lock(s->mu);

@@ -144,8 +144,14 @@ class LocalStore {
   Result<std::uint64_t> decr(std::string_view key, std::uint64_t delta);
   Status del(std::string_view key);
   Status touch(std::string_view key, std::uint64_t ttl);
+  /// Sets an absolute expiry on the store's clock (0 = never): restore
+  /// paths keep the deadline an item was written with.
+  Status expire_at(std::string_view key, std::uint64_t at);
 
   // ---- maintenance / integration ----------------------------------------
+
+  /// The store's clock (expiry and default timestamps); 0 when unset.
+  [[nodiscard]] std::uint64_t clock_now() const;
 
   void set_track_changes(bool on);
   void set_monitored_predicate(MonitoredPredicate pred);
@@ -226,7 +232,6 @@ class LocalStore {
 
   [[nodiscard]] Shard& shard_for(std::string_view key);
   [[nodiscard]] const Shard& shard_for(std::string_view key) const;
-  [[nodiscard]] std::uint64_t clock_now() const;
 
   LocalStoreConfig config_;
   ClockFn clock_;

@@ -41,13 +41,15 @@ Status PersistenceManager::append(const WalRecord& rec) {
 Status PersistenceManager::on_write_latest(std::string_view key,
                                            std::string_view value,
                                            Timestamp ts,
-                                           std::uint32_t flags) {
+                                           std::uint32_t flags,
+                                           std::uint64_t expires_at) {
   WalRecord rec;
   rec.type = WalRecord::Type::kWriteLatest;
   rec.key.assign(key);
   rec.value.assign(value);
   rec.ts = ts;
   rec.flags = flags;
+  rec.expires_at = expires_at;
   return append(rec);
 }
 
@@ -106,6 +108,9 @@ Result<std::uint64_t> PersistenceManager::recover() {
           switch (rec.type) {
             case WalRecord::Type::kWriteLatest:
               store_.write_latest(rec.key, rec.value, rec.ts, rec.flags);
+              if (rec.expires_at != 0) {
+                store_.expire_at(rec.key, rec.expires_at);
+              }
               break;
             case WalRecord::Type::kWriteAll:
               store_.write_all(rec.key, rec.source, rec.value, rec.ts);

@@ -48,8 +48,11 @@ class PersistenceManager {
 
   // Mutation hooks — the owning node calls these after a successful
   // local store mutation.
+  /// `expires_at`: the item's absolute expiry on the store's clock
+  /// (0 = never), so replay restores the deadline, not a fresh TTL.
   Status on_write_latest(std::string_view key, std::string_view value,
-                         Timestamp ts, std::uint32_t flags);
+                         Timestamp ts, std::uint32_t flags,
+                         std::uint64_t expires_at = 0);
   Status on_write_all(std::string_view key, NodeId source,
                       std::string_view value, Timestamp ts);
   /// Logs the full post-merge causal record so replay is an idempotent

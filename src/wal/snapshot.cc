@@ -13,27 +13,14 @@ namespace {
 constexpr char kMagic[8] = {'S', 'E', 'D', 'N', 'A', 'S', 'N', 'P'};
 constexpr std::uint32_t kVersion = 1;
 
-std::string encode_item(const store::Item& item) {
-  BinaryWriter w(item.key.size() + item.value_bytes() + 64);
-  w.put_string(item.key);
-  w.put_bool(item.has_latest);
-  if (item.has_latest) {
-    w.put_string(item.latest.value);
-    w.put_u64(item.latest.ts);
-    w.put_u32(item.latest.flags);
-  }
-  w.put_vector(item.value_list,
-               [](BinaryWriter& out, const store::SourceValue& sv) {
-                 out.put_u32(sv.source);
-                 out.put_string(sv.value);
-                 out.put_u64(sv.ts);
-               });
-  w.put_u64(item.expires_at);
-  // Trailing optional section: causal state, present only for keys that
-  // were causally written. Older snapshots simply end the frame here.
-  if (!item.causal.empty()) item.causal.encode(w);
-  return std::move(w).take();
-}
+/// One item frame, written from and read back into a store::Item. The
+/// causal record is a tail: older snapshots end the frame before it.
+constexpr auto kItemLayout = [](auto& io, auto& item) {
+  io(item.key, item.has_latest);
+  if (item.has_latest) io(item.latest);
+  io(item.value_list, item.expires_at);
+  io.tail(!item.causal.empty(), item.causal);
+};
 
 }  // namespace
 
@@ -52,7 +39,7 @@ Status Snapshot::write(const std::string& path,
   if (ok) {
     store.for_each([&](const store::Item& item) {
       if (!ok) return;
-      ok = write_frame(f, encode_item(item));
+      ok = write_frame(f, wire_encode(item, kItemLayout));
     });
   }
   ok = ok && std::fflush(f) == 0;
@@ -87,38 +74,20 @@ Result<std::uint64_t> Snapshot::load(const std::string& path,
 
   std::uint64_t restored = 0;
   while (auto payload = read_frame(f)) {
-    BinaryReader r(*payload);
-    const std::string key = r.get_string();
-    const bool has_latest = r.get_bool();
-    if (has_latest) {
-      const std::string value = r.get_string();
-      const Timestamp ts = r.get_u64();
-      const std::uint32_t flags = r.get_u32();
-      if (!r.failed()) store.write_latest(key, value, ts, flags);
+    store::Item item;
+    if (!wire_decode(*payload, item, kItemLayout)) break;
+    // Expiry is absolute on the store's clock: an item already past it
+    // stays gone, the rest keep their deadline.
+    if (item.expires_at != 0 && store.clock_now() >= item.expires_at) continue;
+    if (item.has_latest) {
+      store.write_latest(item.key, item.latest.value, item.latest.ts,
+                         item.latest.flags);
     }
-    const auto list = r.get_vector<store::SourceValue>(
-        [](BinaryReader& in) {
-          store::SourceValue sv;
-          sv.source = in.get_u32();
-          sv.value = in.get_string();
-          sv.ts = in.get_u64();
-          return sv;
-        });
-    for (const auto& sv : list) {
-      store.write_all(key, sv.source, sv.value, sv.ts);
+    for (const auto& sv : item.value_list) {
+      store.write_all(item.key, sv.source, sv.value, sv.ts);
     }
-    const std::uint64_t expires_at = r.get_u64();
-    if (expires_at != 0) {
-      // touch() takes a ttl relative to now; snapshots store absolute
-      // expiry. Restore is best-effort: an already-expired item simply
-      // never resurfaces because the clock moved past expires_at.
-      (void)expires_at;
-    }
-    if (!r.failed() && !r.exhausted()) {
-      const auto causal = store::CausalRecord::decode(r);
-      if (!r.failed() && !causal.empty()) store.merge_causal(key, causal);
-    }
-    if (r.failed()) break;
+    if (!item.causal.empty()) store.merge_causal(item.key, item.causal);
+    if (item.expires_at != 0) store.expire_at(item.key, item.expires_at);
     ++restored;
   }
   std::fclose(f);

@@ -1,39 +1,8 @@
 #include "wal/wal.h"
 
-#include "common/codec.h"
 #include "wal/frame.h"
 
 namespace sedna::wal {
-
-std::string WalRecord::encode() const {
-  BinaryWriter w(key.size() + value.size() + 32);
-  w.put_u8(static_cast<std::uint8_t>(type));
-  w.put_string(key);
-  w.put_string(value);
-  w.put_u64(ts);
-  w.put_u32(flags);
-  w.put_u32(source);
-  return std::move(w).take();
-}
-
-Result<WalRecord> WalRecord::decode(std::string_view payload) {
-  BinaryReader r(payload);
-  WalRecord rec;
-  rec.type = static_cast<Type>(r.get_u8());
-  rec.key = r.get_string();
-  rec.value = r.get_string();
-  rec.ts = r.get_u64();
-  rec.flags = r.get_u32();
-  rec.source = r.get_u32();
-  if (r.failed() || !r.exhausted()) {
-    return Status::Corruption("bad wal record");
-  }
-  if (rec.type != Type::kWriteLatest && rec.type != Type::kWriteAll &&
-      rec.type != Type::kDelete && rec.type != Type::kWriteCausal) {
-    return Status::Corruption("unknown wal record type");
-  }
-  return rec;
-}
 
 Status WriteAheadLog::open() {
   if (file_ != nullptr) return Status::Ok();

@@ -12,6 +12,7 @@
 #include <functional>
 #include <string>
 
+#include "common/codec.h"
 #include "common/status.h"
 #include "common/types.h"
 
@@ -34,13 +35,25 @@ struct WalRecord {
   std::uint32_t flags = 0;
   /// Source node for kWriteAll records.
   NodeId source = kInvalidNode;
+  /// Absolute expiry of a kWriteLatest record (the store's clock);
+  /// 0 = never. A tail, so records without a TTL keep their bytes.
+  std::uint64_t expires_at = 0;
 
-  [[nodiscard]] std::string encode() const;
-  [[nodiscard]] static Result<WalRecord> decode(std::string_view payload);
+  static void wire(auto& io, auto& m) {
+    io(m.type, m.key, m.value, m.ts, m.flags, m.source);
+    io.tail(m.expires_at != 0, m.expires_at);
+    io.check(io.exhausted() && m.type >= Type::kWriteLatest &&
+             m.type <= Type::kWriteCausal);
+  }
+  [[nodiscard]] std::string encode() const { return wire_encode(*this); }
+  [[nodiscard]] static Result<WalRecord> decode(std::string_view payload) {
+    return wire_decode<WalRecord>(payload, "bad wal record");
+  }
 
   friend bool operator==(const WalRecord& a, const WalRecord& b) {
     return a.type == b.type && a.key == b.key && a.value == b.value &&
-           a.ts == b.ts && a.flags == b.flags && a.source == b.source;
+           a.ts == b.ts && a.flags == b.flags && a.source == b.source &&
+           a.expires_at == b.expires_at;
   }
 };
 

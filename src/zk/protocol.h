@@ -69,54 +69,15 @@ struct ClientRequest {
     }
   }
 
-  [[nodiscard]] std::string encode() const {
-    BinaryWriter w(path.size() + data.size() + 48);
-    w.put_u8(static_cast<std::uint8_t>(op));
-    w.put_string(path);
-    w.put_string(data);
-    w.put_u8(mode);
-    w.put_i64(expected_version);
-    w.put_u64(session_id);
-    w.put_u64(session_timeout_us);
-    w.put_bool(watch);
-    w.put_u64(watch_id);
-    return std::move(w).take();
+  static void wire(auto& io, auto& m) {
+    io(m.op, m.path, m.data, m.mode, m.expected_version, m.session_id,
+       m.session_timeout_us, m.watch, m.watch_id);
   }
-
+  [[nodiscard]] std::string encode() const { return wire_encode(*this); }
   static Result<ClientRequest> decode(std::string_view bytes) {
-    BinaryReader r(bytes);
-    ClientRequest req;
-    req.op = static_cast<Op>(r.get_u8());
-    req.path = r.get_string();
-    req.data = r.get_string();
-    req.mode = r.get_u8();
-    req.expected_version = r.get_i64();
-    req.session_id = r.get_u64();
-    req.session_timeout_us = r.get_u64();
-    req.watch = r.get_bool();
-    req.watch_id = r.get_u64();
-    if (r.failed()) return Status::Corruption("bad zk request");
-    return req;
+    return wire_decode<ClientRequest>(bytes, "bad zk request");
   }
 };
-
-inline void encode_stat(BinaryWriter& w, const ZnodeStat& s) {
-  w.put_u64(s.czxid);
-  w.put_u64(s.mzxid);
-  w.put_i64(s.version);
-  w.put_u64(s.ephemeral_owner);
-  w.put_u32(s.num_children);
-}
-
-inline ZnodeStat decode_stat(BinaryReader& r) {
-  ZnodeStat s;
-  s.czxid = r.get_u64();
-  s.mzxid = r.get_u64();
-  s.version = r.get_i64();
-  s.ephemeral_owner = r.get_u64();
-  s.num_children = r.get_u32();
-  return s;
-}
 
 struct ClientReply {
   StatusCode status = StatusCode::kOk;
@@ -126,29 +87,12 @@ struct ClientReply {
   std::vector<std::string> children;
   std::uint64_t session_id = 0;  // kConnect
 
-  [[nodiscard]] std::string encode() const {
-    BinaryWriter w(payload.size() + 64);
-    w.put_u8(static_cast<std::uint8_t>(status));
-    w.put_string(payload);
-    encode_stat(w, stat);
-    w.put_vector(children, [](BinaryWriter& out, const std::string& c) {
-      out.put_string(c);
-    });
-    w.put_u64(session_id);
-    return std::move(w).take();
+  static void wire(auto& io, auto& m) {
+    io(m.status, m.payload, m.stat, m.children, m.session_id);
   }
-
+  [[nodiscard]] std::string encode() const { return wire_encode(*this); }
   static Result<ClientReply> decode(std::string_view bytes) {
-    BinaryReader r(bytes);
-    ClientReply rep;
-    rep.status = static_cast<StatusCode>(r.get_u8());
-    rep.payload = r.get_string();
-    rep.stat = decode_stat(r);
-    rep.children = r.get_vector<std::string>(
-        [](BinaryReader& in) { return in.get_string(); });
-    rep.session_id = r.get_u64();
-    if (r.failed()) return Status::Corruption("bad zk reply");
-    return rep;
+    return wire_decode<ClientReply>(bytes, "bad zk reply");
   }
 };
 
@@ -164,26 +108,15 @@ struct WatchEventMsg {
   std::string path;
   WatchEventType type = WatchEventType::kDataChanged;
 
-  [[nodiscard]] std::string encode() const {
-    BinaryWriter w(path.size() + 16);
-    w.put_u64(watch_id);
-    w.put_string(path);
-    w.put_u8(static_cast<std::uint8_t>(type));
-    return std::move(w).take();
-  }
-
+  static void wire(auto& io, auto& m) { io(m.watch_id, m.path, m.type); }
+  [[nodiscard]] std::string encode() const { return wire_encode(*this); }
   static Result<WatchEventMsg> decode(std::string_view bytes) {
-    BinaryReader r(bytes);
-    WatchEventMsg ev;
-    ev.watch_id = r.get_u64();
-    ev.path = r.get_string();
-    ev.type = static_cast<WatchEventType>(r.get_u8());
-    if (r.failed()) return Status::Corruption("bad watch event");
-    return ev;
+    return wire_decode<WatchEventMsg>(bytes, "bad watch event");
   }
 };
 
-/// Leader → members: a sequenced write awaiting quorum.
+/// Leader → members: a sequenced write awaiting quorum; `op` travels as
+/// one length-prefixed inner message.
 struct Proposal {
   std::uint64_t zxid = 0;
   ClientRequest op;
@@ -214,35 +147,12 @@ struct TreeSyncMsg {
   std::string tree_image;
   std::vector<std::pair<std::uint64_t, std::uint64_t>> sessions;  // id, timeout
 
-  [[nodiscard]] std::string encode() const {
-    BinaryWriter w(tree_image.size() + 64);
-    w.put_u64(epoch);
-    w.put_u64(last_zxid);
-    w.put_u64(next_session_id);
-    w.put_string(tree_image);
-    w.put_u32(static_cast<std::uint32_t>(sessions.size()));
-    for (const auto& [id, timeout] : sessions) {
-      w.put_u64(id);
-      w.put_u64(timeout);
-    }
-    return std::move(w).take();
+  static void wire(auto& io, auto& m) {
+    io(m.epoch, m.last_zxid, m.next_session_id, m.tree_image, m.sessions);
   }
-
+  [[nodiscard]] std::string encode() const { return wire_encode(*this); }
   static Result<TreeSyncMsg> decode(std::string_view bytes) {
-    BinaryReader r(bytes);
-    TreeSyncMsg m;
-    m.epoch = r.get_u64();
-    m.last_zxid = r.get_u64();
-    m.next_session_id = r.get_u64();
-    m.tree_image = r.get_string();
-    const std::uint32_t n = r.get_u32();
-    for (std::uint32_t i = 0; i < n && !r.failed(); ++i) {
-      const std::uint64_t id = r.get_u64();
-      const std::uint64_t timeout = r.get_u64();
-      m.sessions.emplace_back(id, timeout);
-    }
-    if (r.failed()) return Status::Corruption("bad tree sync");
-    return m;
+    return wire_decode<TreeSyncMsg>(bytes, "bad tree sync");
   }
 };
 

@@ -8,6 +8,7 @@
 #include <unistd.h>
 
 #include <filesystem>
+#include <optional>
 
 #include "cluster/sedna_cluster.h"
 
@@ -57,6 +58,36 @@ TEST_F(PersistentClusterTest, WalFilesAppearPerNode) {
     }
   }
   EXPECT_EQ(wal_files, 6u);  // every node logged its replica writes
+}
+
+TEST_F(PersistentClusterTest, RestartedNodeKeepsAWritesTtl) {
+  SednaCluster cluster(config());
+  ASSERT_TRUE(cluster.boot().ok());
+  auto& client = cluster.make_client();
+  std::optional<Status> st;
+  client.write_latest_ttl("session/tok", "data", sim_sec(2),
+                          [&](const Status& s) { st = s; });
+  cluster.run_until([&] { return st.has_value(); });
+  ASSERT_TRUE(st->ok());
+  cluster.run_for(sim_ms(50));
+  std::size_t holder = cluster.data_node_count();
+  for (std::size_t i = 0; i < cluster.data_node_count(); ++i) {
+    if (cluster.node(i).local_store().read_latest("session/tok").ok()) {
+      holder = i;
+      break;
+    }
+  }
+  ASSERT_LT(holder, cluster.data_node_count());
+
+  cluster.crash_node(holder);
+  cluster.restart_node(holder);
+  auto& store = cluster.node(holder).local_store();
+  EXPECT_TRUE(store.read_latest("session/tok").ok());
+  // The WAL carried the write's deadline, so the replayed copy expires
+  // with the others instead of living on without a TTL.
+  cluster.run_for(sim_sec(3));
+  EXPECT_TRUE(
+      store.read_latest("session/tok").status().is(StatusCode::kNotFound));
 }
 
 TEST_F(PersistentClusterTest, RestartedNodeRecoversFromWal) {

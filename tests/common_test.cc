@@ -166,12 +166,10 @@ TEST(Codec, StringRoundTripIncludingEmbeddedNul) {
 TEST(Codec, VectorRoundTrip) {
   BinaryWriter w;
   const std::vector<std::string> items = {"x", "yy", "zzz"};
-  w.put_vector(items, [](BinaryWriter& out, const std::string& s) {
-    out.put_string(s);
-  });
+  w(items);
   BinaryReader r(w.data());
-  const auto back = r.get_vector<std::string>(
-      [](BinaryReader& in) { return in.get_string(); });
+  std::vector<std::string> back;
+  r(back);
   EXPECT_EQ(back, items);
 }
 
@@ -196,8 +194,8 @@ TEST(Codec, CorruptVectorCountFails) {
   BinaryWriter w;
   w.put_u32(0xffffffff);
   BinaryReader r(w.data());
-  const auto items = r.get_vector<std::string>(
-      [](BinaryReader& in) { return in.get_string(); });
+  std::vector<std::string> items;
+  r(items);
   EXPECT_TRUE(items.empty());
   EXPECT_TRUE(r.failed());
 }

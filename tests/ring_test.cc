@@ -235,6 +235,35 @@ TEST(Imbalance, RowCodecRejectsTruncatedVnodeRows) {
   EXPECT_FALSE(RealNodeLoad::decode(encoded).ok());
 }
 
+// A row read back from ZooKeeper whose vnode or lag count claims far
+// more entries than the bytes that follow must be rejected as corrupt,
+// not sized into an allocation (the rebalance leader decodes these).
+TEST(Imbalance, RowWithOversizedCountIsCorruptionNotACrash) {
+  BinaryWriter header;  // node, vnode_count, capacity, reads, writes, misses
+  header.put_u32(104);
+  header.put_u32(20);
+  header.put_u64(1);
+  header.put_u64(2);
+  header.put_u64(3);
+  header.put_u64(4);
+  ASSERT_EQ(header.size(), 40u);
+
+  BinaryWriter vnodes;
+  vnodes.put_bytes_raw(header.data());
+  vnodes.put_u32(0xffffffffu);
+  auto bad_vnodes = RealNodeLoad::decode(vnodes.data());
+  ASSERT_FALSE(bad_vnodes.ok());
+  EXPECT_TRUE(bad_vnodes.status().is(StatusCode::kCorruption));
+
+  BinaryWriter lags;
+  lags.put_bytes_raw(header.data());
+  lags.put_u32(0);  // no vnode rows
+  lags.put_u32(0xffffffffu);
+  auto bad_lags = RealNodeLoad::decode(lags.data());
+  ASSERT_FALSE(bad_lags.ok());
+  EXPECT_TRUE(bad_lags.status().is(StatusCode::kCorruption));
+}
+
 TEST(Imbalance, CoefficientIsZeroNotNanOnDegenerateInputs) {
   // No rows at all.
   ImbalanceTable empty;

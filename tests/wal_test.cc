@@ -75,6 +75,22 @@ TEST(WalRecord, DecodeRejectsUnknownType) {
   EXPECT_FALSE(WalRecord::decode(bytes).ok());
 }
 
+TEST(WalRecord, ExpiryIsATailWrittenOnlyWhenSet) {
+  WalRecord rec = make_record(WalRecord::Type::kWriteLatest, "k", "v", 9);
+  const std::string plain = rec.encode();
+  rec.expires_at = 1100;
+  const std::string with_expiry = rec.encode();
+  // A record without a TTL keeps its pre-expiry bytes exactly.
+  ASSERT_EQ(with_expiry.size(), plain.size() + 8);
+  EXPECT_EQ(with_expiry.substr(0, plain.size()), plain);
+  auto back = WalRecord::decode(with_expiry);
+  ASSERT_TRUE(back.ok());
+  EXPECT_EQ(back.value(), rec);
+  auto old = WalRecord::decode(plain);
+  ASSERT_TRUE(old.ok());
+  EXPECT_EQ(old->expires_at, 0u);
+}
+
 // ---- append / replay -----------------------------------------------------------
 
 TEST(Wal, AppendAndReplay) {
@@ -240,6 +256,44 @@ TEST(Snapshot, RoundTripAllItemKinds) {
   auto list = restored.read_all("list-key");
   ASSERT_TRUE(list.ok());
   EXPECT_EQ(list->size(), 2u);
+}
+
+TEST(Snapshot, RestoreKeepsAbsoluteExpiry) {
+  TempDir tmp;
+  std::uint64_t now = 1000;
+  store::LocalStore source({}, [&now] { return now; });
+  ASSERT_TRUE(source.write_latest("k", "v", 5, 0, /*ttl=*/100).ok());
+  ASSERT_TRUE(source.write_latest("forever", "f", 6, 0).ok());
+  ASSERT_TRUE(Snapshot::write(tmp.path("snap.bin"), source).ok());
+
+  store::LocalStore restored({}, [&now] { return now; });
+  auto n = Snapshot::load(tmp.path("snap.bin"), restored);
+  ASSERT_TRUE(n.ok());
+  EXPECT_EQ(n.value(), 2u);
+  EXPECT_TRUE(restored.read_latest("k").ok());
+
+  now = 5000;  // past k's expiry at 1100
+  EXPECT_TRUE(source.read_latest("k").status().is(StatusCode::kNotFound));
+  EXPECT_TRUE(restored.read_latest("k").status().is(StatusCode::kNotFound));
+  EXPECT_TRUE(restored.read_latest("forever").ok());
+}
+
+TEST(Snapshot, RestoreSkipsItemsAlreadyExpired) {
+  TempDir tmp;
+  std::uint64_t now = 1000;
+  store::LocalStore source({}, [&now] { return now; });
+  ASSERT_TRUE(source.write_latest("k", "v", 5, 0, /*ttl=*/100).ok());
+  ASSERT_TRUE(source.write_all("list", 3, "lv", 7).ok());
+  ASSERT_TRUE(Snapshot::write(tmp.path("snap.bin"), source).ok());
+
+  now = 5000;
+  store::LocalStore restored({}, [&now] { return now; });
+  auto n = Snapshot::load(tmp.path("snap.bin"), restored);
+  ASSERT_TRUE(n.ok());
+  EXPECT_EQ(n.value(), 1u);
+  EXPECT_EQ(restored.size(), 1u);
+  EXPECT_TRUE(restored.read_latest("k").status().is(StatusCode::kNotFound));
+  EXPECT_TRUE(restored.read_all("list").ok());
 }
 
 TEST(Snapshot, MissingFileLoadsNothing) {
@@ -430,6 +484,55 @@ TEST(Persistence, PeriodicFlushRecoversUpToLastSnapshot) {
   ASSERT_TRUE(pm.start().ok());
   ASSERT_TRUE(pm.recover().ok());
   EXPECT_EQ(restored.size(), 60u);
+}
+
+TEST(Persistence, WalReplayKeepsAbsoluteExpiry) {
+  TempDir tmp;
+  PersistenceConfig cfg;
+  cfg.mode = PersistMode::kWal;
+  cfg.dir = tmp.dir();
+  std::uint64_t now = 1000;
+  {
+    store::LocalStore original({}, [&now] { return now; });
+    PersistenceManager pm(cfg, original);
+    ASSERT_TRUE(pm.start().ok());
+    ASSERT_TRUE(original.write_latest("k", "v", 5, 0, /*ttl=*/100).ok());
+    ASSERT_TRUE(pm.on_write_latest("k", "v", 5, 0, /*expires_at=*/1100).ok());
+    ASSERT_TRUE(original.write_latest("forever", "f", 6, 0).ok());
+    ASSERT_TRUE(pm.on_write_latest("forever", "f", 6, 0).ok());
+  }
+  now = 1050;
+  store::LocalStore restored({}, [&now] { return now; });
+  PersistenceManager pm(cfg, restored);
+  ASSERT_TRUE(pm.start().ok());
+  ASSERT_TRUE(pm.recover().ok());
+  EXPECT_TRUE(restored.read_latest("k").ok());
+
+  now = 5000;  // past k's expiry at 1100, not 1050 + 100
+  EXPECT_TRUE(restored.read_latest("k").status().is(StatusCode::kNotFound));
+  EXPECT_TRUE(restored.read_latest("forever").ok());
+}
+
+TEST(Persistence, WalReplayOfAnExpiredWriteLeavesTheKeyGone) {
+  TempDir tmp;
+  PersistenceConfig cfg;
+  cfg.mode = PersistMode::kWal;
+  cfg.dir = tmp.dir();
+  {
+    store::LocalStore original;
+    PersistenceManager pm(cfg, original);
+    ASSERT_TRUE(pm.start().ok());
+    ASSERT_TRUE(pm.on_write_latest("k", "old", 5, 0).ok());
+    ASSERT_TRUE(pm.on_write_latest("k", "new", 6, 0, /*expires_at=*/1100).ok());
+  }
+  // The expired write replaced the older value before it expired: replay
+  // must not resurrect "old".
+  std::uint64_t now = 5000;
+  store::LocalStore restored({}, [&now] { return now; });
+  PersistenceManager pm(cfg, restored);
+  ASSERT_TRUE(pm.start().ok());
+  ASSERT_TRUE(pm.recover().ok());
+  EXPECT_TRUE(restored.read_latest("k").status().is(StatusCode::kNotFound));
 }
 
 TEST(Persistence, RecoveredStateEqualsOriginal) {
