@@ -136,23 +136,32 @@ struct ReadReply {
   /// serves, the measured staleness bound in µs — "stale by at most
   /// this much", not just "stale". 0 = not measured (auditing off).
   std::uint64_t staleness_us = 0;
+  /// Trailing expiry section: the absolute expiry of `latest` on the
+  /// shared simulated clock (0 = never), so a copy made from this reply
+  /// (read repair, anti-entropy pull) keeps the deadline.
+  std::uint64_t expires_at = 0;
 
   // Trailing sections share one mask byte so they compose: bit 0 =
-  // causal record follows, bit 1 = staleness bound precedes it. The mask
-  // is a tail, so plain LWW replies — and *every* reply with auditing
-  // off — stay byte-identical with the legacy layout.
+  // causal record follows, bit 1 = staleness bound precedes it, bit 2 =
+  // expiry follows. The mask is a tail, so plain LWW replies — and
+  // *every* reply of a key without TTL with auditing off — stay
+  // byte-identical with the legacy layout.
   static constexpr std::uint8_t kTrailCausal = 1;
   static constexpr std::uint8_t kTrailAudit = 2;
+  static constexpr std::uint8_t kTrailExpiry = 4;
 
   static void wire(auto& io, auto& m) {
     io(m.status, m.has_latest, m.latest, m.value_list, m.stale);
     auto mask = static_cast<std::uint8_t>(
         (m.has_causal ? kTrailCausal : 0) |
-        (m.staleness_us != 0 ? kTrailAudit : 0));
+        (m.staleness_us != 0 ? kTrailAudit : 0) |
+        (m.expires_at != 0 ? kTrailExpiry : 0));
     if (!io.tail(mask != 0, mask)) return;
-    io.check(mask != 0 && (mask & ~(kTrailCausal | kTrailAudit)) == 0);
+    io.check(mask != 0 &&
+             (mask & ~(kTrailCausal | kTrailAudit | kTrailExpiry)) == 0);
     if ((mask & kTrailAudit) != 0) io(m.staleness_us);
     if ((mask & kTrailCausal) != 0) io(m.causal);
+    if ((mask & kTrailExpiry) != 0) io(m.expires_at);
     wire_set(m.has_causal, (mask & kTrailCausal) != 0);
   }
   [[nodiscard]] std::string encode() const { return wire_encode(*this); }
@@ -168,9 +177,12 @@ struct TransferItem {
   store::VersionedValue latest;
   std::vector<store::SourceValue> value_list;
   /// Causal record; empty for LWW items. Carried in FetchVnodeReply's
-  /// trailing sparse section (the per-item layout is not individually
+  /// trailing sparse sections (the per-item layout is not individually
   /// framed, so it cannot grow in place without breaking old readers).
   store::CausalRecord causal;
+  /// Absolute expiry on the shared simulated clock; 0 = never. The second
+  /// sparse section, so replies without TTL'd items keep their bytes.
+  std::uint64_t expires_at = 0;
 
   static void wire(auto& io, auto& m) {
     io(m.key, m.has_latest, m.latest, m.value_list);
@@ -193,7 +205,7 @@ struct FetchVnodeReply {
 
   static void wire(auto& io, auto& m) {
     io(m.status, m.items);
-    io.sparse(m.items, &TransferItem::causal);
+    io.sparse(m.items, &TransferItem::causal, &TransferItem::expires_at);
   }
   [[nodiscard]] std::string encode() const { return wire_encode(*this); }
   static Result<FetchVnodeReply> decode(std::string_view bytes) {

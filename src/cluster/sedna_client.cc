@@ -93,8 +93,7 @@ SednaClient::WriteCallback SednaClient::traced_write(const char* op,
   const TraceContext root = begin_trace(op, TraceStage::kService);
   const SimTime started = now();
   return [this, root, started, cb = std::move(cb)](const Status& st) {
-    metrics_.histogram("client.write_latency_us")
-        .record(now() - started, root.trace_id);
+    write_latency_->record(now() - started, root.trace_id);
     end_span(root.span_id, std::string(to_string(st.code())));
     cb(st);
   };
@@ -176,7 +175,7 @@ void SednaClient::do_write_full(
            if (rep.ok() && rep->status != StatusCode::kUnavailable &&
                rep->status != StatusCode::kFailure &&
                rep->status != StatusCode::kOverloaded) {
-             metrics_.counter("client.writes").add(1);
+             writes_->add(1);
              refill_retry_budget();
              end_span(span, std::string(to_string(rep->status)));
              cb(std::move(rep));
@@ -250,7 +249,7 @@ void SednaClient::do_read(ReadRequest req, int attempt, SimTime deadline,
            if (rep.ok() && rep->status != StatusCode::kUnavailable &&
                rep->status != StatusCode::kFailure &&
                rep->status != StatusCode::kOverloaded) {
-             metrics_.counter("client.reads").add(1);
+             reads_->add(1);
              if (rep->stale) {
                metrics_.counter("client.stale_reads").add(1);
                // The coordinator's staleness bound rides the reply when
@@ -321,8 +320,7 @@ void SednaClient::put_causal(const std::string& key, const std::string& value,
   do_write_full(
       std::move(req), 0, op_deadline(),
       [this, root, started, cb = std::move(cb)](const Result<WriteReply>& rep) {
-        metrics_.histogram("client.write_latency_us")
-            .record(now() - started, root.trace_id);
+        write_latency_->record(now() - started, root.trace_id);
         const StatusCode code = rep.ok() ? rep->status : rep.status().code();
         end_span(root.span_id, std::string(to_string(code)));
         if (!rep.ok()) {
@@ -345,8 +343,7 @@ void SednaClient::get_causal(const std::string& key, GetCausalCallback cb) {
   do_read(std::move(req), 0, op_deadline(),
           [this, root, started,
            cb = std::move(cb)](const Result<ReadReply>& rep) {
-            metrics_.histogram("client.read_latency_us")
-                .record(now() - started, root.trace_id);
+            read_latency_->record(now() - started, root.trace_id);
             end_span(root.span_id,
                      std::string(to_string(rep.ok() ? rep->status
                                                     : rep.status().code())));
@@ -518,8 +515,7 @@ void SednaClient::read_latest(const std::string& key, ReadLatestCallback cb) {
   do_read(std::move(req), 0, op_deadline(),
           [this, root, started,
            cb = std::move(cb)](const Result<ReadReply>& rep) {
-            metrics_.histogram("client.read_latency_us")
-                .record(now() - started, root.trace_id);
+            read_latency_->record(now() - started, root.trace_id);
             end_span(root.span_id,
                      std::string(to_string(rep.ok() ? rep->status
                                                     : rep.status().code())));
@@ -547,8 +543,7 @@ void SednaClient::read_all(const std::string& key, ReadAllCallback cb) {
   do_read(std::move(req), 0, op_deadline(),
           [this, root, started,
            cb = std::move(cb)](const Result<ReadReply>& rep) {
-            metrics_.histogram("client.read_latency_us")
-                .record(now() - started, root.trace_id);
+            read_latency_->record(now() - started, root.trace_id);
             end_span(root.span_id,
                      std::string(to_string(rep.ok() ? rep->status
                                                     : rep.status().code())));

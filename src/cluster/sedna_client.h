@@ -208,6 +208,11 @@ class SednaClient : public sim::Host {
   zk::ZkClient zk_;
   MetadataCache metadata_;
   MetricRegistry metrics_;
+  // Per-op metrics, cached on first use.
+  CounterHandle writes_{metrics_, "client.writes"};
+  CounterHandle reads_{metrics_, "client.reads"};
+  HistogramHandle write_latency_{metrics_, "client.write_latency_us"};
+  HistogramHandle read_latency_{metrics_, "client.read_latency_us"};
   bool ready_ = false;
   std::uint16_t write_seq_ = 0;
   /// Retry-budget token bucket; starts full so a cold client can still

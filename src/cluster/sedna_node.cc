@@ -95,13 +95,18 @@ std::vector<NodeId> live_nodes(const std::vector<std::string>& kids) {
 
 // ---- Write builders: the replica writes that recreate stored state. -----
 
+/// `expires_at` (absolute, 0 = never) rides as the lifetime left at
+/// `now`, so the copy keeps the original deadline; a deadline already
+/// passed still expires the copy at once.
 WriteRequest latest_write(const std::string& key,
-                          const store::VersionedValue& v) {
+                          const store::VersionedValue& v,
+                          std::uint64_t expires_at, SimTime now) {
   WriteRequest w;
   w.key = key;
   w.value = v.value;
   w.ts = v.ts;  // pinned: replay is idempotent
   w.flags = v.flags;
+  if (expires_at != 0) w.ttl = expires_at > now ? expires_at - now : 1;
   return w;
 }
 
@@ -126,12 +131,12 @@ WriteRequest causal_write(const std::string& key,
 
 /// A causal item is its record (the receiver rebuilds the LWW mirror from
 /// the winner); otherwise its latest value. Either way, then its list.
-void append_item_writes(const TransferItem& item,
+void append_item_writes(const TransferItem& item, SimTime now,
                         std::vector<WriteRequest>& out) {
   if (!item.causal.empty()) {
     out.push_back(causal_write(item.key, item.causal));
   } else if (item.has_latest) {
-    out.push_back(latest_write(item.key, item.latest));
+    out.push_back(latest_write(item.key, item.latest, item.expires_at, now));
   }
   for (const auto& sv : item.value_list) {
     out.push_back(list_write(item.key, sv));
@@ -160,7 +165,7 @@ struct KeyDiff {
 /// converge. Pushes come in summary order, then the keys the peer lacks
 /// in key order; pulls in summary order.
 KeyDiff diff_keys(std::vector<TransferItem> local,
-                  const VnodeDigestReply& peer) {
+                  const VnodeDigestReply& peer, SimTime now) {
   std::sort(local.begin(), local.end(),
             [](const TransferItem& a, const TransferItem& b) {
               return a.key < b.key;
@@ -201,7 +206,8 @@ KeyDiff diff_keys(std::vector<TransferItem> local,
         diff.pulls.push_back({ks.key, list_diff, false});
       }
       if (my_has && (!ks.has_latest || ks.latest_ts < my_ts)) {
-        diff.pushes.push_back(latest_write(ks.key, mine->latest));
+        diff.pushes.push_back(
+            latest_write(ks.key, mine->latest, mine->expires_at, now));
       }
     }
     if (list_diff && mine != nullptr) {
@@ -215,7 +221,7 @@ KeyDiff diff_keys(std::vector<TransferItem> local,
   // remainder.
   if (!peer.truncated) {
     for (std::size_t i = 0; i < local.size(); ++i) {
-      if (!listed[i]) append_item_writes(local[i], diff.pushes);
+      if (!listed[i]) append_item_writes(local[i], now, diff.pushes);
     }
   }
   return diff;
@@ -786,7 +792,7 @@ ReadReply SednaNode::local_read(const ReadRequest& req) {
       rep.status = got.status().code();
     }
   } else if (req.mode == ReadMode::kLatest) {
-    auto got = store_->read_latest(req.key);
+    auto got = store_->read_latest(req.key, &rep.expires_at);
     if (got.ok()) {
       rep.has_latest = true;
       rep.latest = std::move(got).value();
@@ -814,7 +820,7 @@ void SednaNode::handle_replica_write(const sim::Message& msg) {
     rep.status = StatusCode::kInvalidArgument;
   } else {
     rep.status = apply_write(*req);
-    metrics_.counter("replica.writes").add(1);
+    replica_writes_->add(1);
   }
   instant_span("replica.write", std::string(to_string(rep.status)),
                TraceStage::kService);
@@ -829,7 +835,7 @@ void SednaNode::handle_replica_read(const sim::Message& msg) {
     reply(msg, rep.encode());
     return;
   }
-  metrics_.counter("replica.reads").add(1);
+  replica_reads_->add(1);
   ReadReply rep = local_read(*req);
   instant_span("replica.read", std::string(to_string(rep.status)),
                TraceStage::kService);
@@ -877,14 +883,18 @@ void SednaNode::handle_client_write(const sim::Message& msg) {
   const VnodeId vnode = metadata_.table().vnode_for_key(req.key);
   const auto replicas = metadata_.table().replicas_for_vnode(vnode);
   const auto cfg = metadata_.config();
-  metrics_.counter("coordinator.writes").add(1);
+  coordinator_writes_->add(1);
   hot_keys_.record(req.key);
   const SimTime started = now();
   const TraceId trace = trace_context().trace_id;
   const SpanId coord_span = begin_span("coord.write", TraceStage::kService);
   const TraceContext prev_ctx = enter_span(coord_span);
 
+  // The request and its reply address live once, in the shared state:
+  // the settle closure is copied into every fan-out callback.
   struct WriteState {
+    sim::Message origin;
+    WriteRequest req;
     std::uint32_t acks = 0;
     std::uint32_t outdated = 0;
     std::uint32_t failures = 0;
@@ -892,13 +902,16 @@ void SednaNode::handle_client_write(const sim::Message& msg) {
     bool replied = false;
   };
   auto state = std::make_shared<WriteState>();
-  const sim::Message origin = msg;
+  state->origin = msg.header();
+  state->req = std::move(req);
+  const sim::Message& origin = state->origin;
   const auto total = static_cast<std::uint32_t>(replicas.size());
 
-  auto settle = [this, state, origin, cfg, total, started, vnode, trace,
-                 coord_span, key = req.key, causal_put, causal_clock,
-                 wts = req.ts]() {
+  auto settle = [this, state, cfg, total, started, vnode, trace, coord_span,
+                 causal_put, causal_clock]() {
     if (state->replied) return;
+    const std::string& key = state->req.key;
+    const Timestamp wts = state->req.ts;
     WriteReply rep;
     if (state->acks >= cfg.write_quorum) {
       rep.status = StatusCode::kOk;
@@ -924,10 +937,9 @@ void SednaNode::handle_client_write(const sim::Message& msg) {
       metrics_.counter("coordinator.write_quorum_failures").add(1);
     }
     state->replied = true;
-    metrics_.histogram("coordinator.write_latency_us")
-        .record(now() - started, trace);
+    write_latency_->record(now() - started, trace);
     end_span(coord_span, std::string(to_string(rep.status)));
-    reply(origin, rep.encode());
+    reply(state->origin, rep.encode());
   };
 
   // Deadline-aware fan-out. A timeout that fired early *because* of the
@@ -938,10 +950,10 @@ void SednaNode::handle_client_write(const sim::Message& msg) {
       fanout_timeout(config().rpc_timeout_us, origin.deadline, now());
   const bool deadline_bounded = timeout < config().rpc_timeout_us;
 
-  const std::string payload = req.encode();
+  const std::string payload = state->req.encode();
   for (NodeId replica : replicas) {
     if (replica == id()) {
-      const StatusCode st = apply_write(req);
+      const StatusCode st = apply_write(state->req);
       instant_span("coord.local_write", std::string(to_string(st)),
                    TraceStage::kService);
       ++state->responses;
@@ -957,7 +969,7 @@ void SednaNode::handle_client_write(const sim::Message& msg) {
     }
     call_with_timeout(
         replica, kMsgReplicaWrite, payload, timeout,
-        [this, state, settle, replica, vnode, req, deadline_bounded](
+        [this, state, settle, replica, vnode, deadline_bounded](
             const Status& st, const std::string& body) {
           ++state->responses;
           if (!st.ok()) {
@@ -965,7 +977,7 @@ void SednaNode::handle_client_write(const sim::Message& msg) {
             if (!deadline_bounded) {
               // The replica missed an acknowledged-at-W write: remember it
               // and replay once the replica re-registers (hinted handoff).
-              queue_hint(replica, req);
+              queue_hint(replica, state->req);
               suspect_node(replica, vnode);
             }
           } else {
@@ -994,18 +1006,22 @@ void SednaNode::handle_client_read(const sim::Message& msg) {
     reply(msg, rep.encode());
     return;
   }
-  const ReadRequest req = std::move(decoded).value();
+  ReadRequest req = std::move(decoded).value();
   const VnodeId vnode = metadata_.table().vnode_for_key(req.key);
   const auto replicas = metadata_.table().replicas_for_vnode(vnode);
   const auto cfg = metadata_.config();
-  metrics_.counter("coordinator.reads").add(1);
+  coordinator_reads_->add(1);
   hot_keys_.record(req.key);
   const SimTime started = now();
   const TraceId trace = trace_context().trace_id;
   const SpanId coord_span = begin_span("coord.read", TraceStage::kService);
   const TraceContext prev_ctx = enter_span(coord_span);
 
+  // The request and its reply address live once, in the shared state:
+  // the settle closure is copied into every fan-out callback.
   struct ReadState {
+    sim::Message origin;
+    ReadRequest req;
     std::vector<std::pair<NodeId, ReadReply>> replies;
     std::uint32_t responses = 0;
     std::uint32_t failures = 0;
@@ -1014,6 +1030,7 @@ void SednaNode::handle_client_read(const sim::Message& msg) {
     /// replicas whose replies arrive after the quorum settled.
     bool has_answer = false;
     store::VersionedValue answer;
+    std::uint64_t answer_expires_at = 0;
     /// Joined record returned to the client (causal mode), for repairing
     /// divergent replicas — including late arrivals.
     bool has_causal_answer = false;
@@ -1026,12 +1043,15 @@ void SednaNode::handle_client_read(const sim::Message& msg) {
     SimTime settled_at = 0;
   };
   auto state = std::make_shared<ReadState>();
-  const sim::Message origin = msg;
+  state->origin = msg.header();
+  state->req = std::move(req);
   const auto total = static_cast<std::uint32_t>(replicas.size());
 
-  auto settle = [this, state, origin, cfg, total, started, trace, coord_span,
-                 req, vnode]() {
+  auto settle = [this, state, cfg, total, started, trace, coord_span,
+                 vnode]() {
     if (state->replied) return;
+    const sim::Message& origin = state->origin;
+    const ReadRequest& req = state->req;
 
     if (req.causal) {
       // Causal quorum read: R *positive* replies settle (the same
@@ -1047,8 +1067,7 @@ void SednaNode::handle_client_read(const sim::Message& msg) {
       }
       if (positives < cfg.read_quorum && state->responses < total) return;
       state->replied = true;
-      metrics_.histogram("coordinator.read_latency_us")
-          .record(now() - started, trace);
+      read_latency_->record(now() - started, trace);
       ReadReply out;
       store::CausalRecord merged;
       for (const auto& [node, rep] : state->replies) {
@@ -1089,15 +1108,18 @@ void SednaNode::handle_client_read(const sim::Message& msg) {
 
     if (req.mode == ReadMode::kLatest) {
       // Read repair pushes `answer` to the replies with older or no data.
-      auto repair_behind = [this, &state, &req](
-                               const store::VersionedValue& answer) {
+      auto repair_behind = [this, &state, &req](const ReadReply& answer) {
         std::vector<NodeId> stale;
         for (const auto& [node, rep] : state->replies) {
-          if (!rep.has_latest || rep.latest.ts < answer.ts) {
+          if (!rep.has_latest || rep.latest.ts < answer.latest.ts) {
             stale.push_back(node);
           }
         }
-        if (!stale.empty()) read_repair(latest_write(req.key, answer), stale);
+        if (!stale.empty()) {
+          read_repair(latest_write(req.key, answer.latest, answer.expires_at,
+                                   now()),
+                      stale);
+        }
       };
       // Quorum rule (Section III.C): R replies carrying the *same
       // timestamp* settle the read. Only *positive* replies may settle
@@ -1115,15 +1137,15 @@ void SednaNode::handle_client_read(const sim::Message& msg) {
           state->replied = true;
           state->has_answer = true;
           state->answer = rep.latest;
+          state->answer_expires_at = rep.expires_at;
           state->settled_at = now();
           if (auditor_ != nullptr) auditor_->on_full_quorum(vnode, now());
-          metrics_.histogram("coordinator.read_latency_us")
-              .record(now() - started, trace);
+          read_latency_->record(now() - started, trace);
           ReadReply out = rep;
           out.status = StatusCode::kOk;
           end_span(coord_span, "ok");
           reply(origin, out.encode());
-          repair_behind(rep.latest);
+          repair_behind(rep);
           return;
         }
       }
@@ -1144,8 +1166,7 @@ void SednaNode::handle_client_read(const sim::Message& msg) {
                             state->failures + cfg.read_quorum > total;
       if (!degraded && state->responses < total) return;  // keep waiting
       state->replied = true;
-      metrics_.histogram("coordinator.read_latency_us")
-          .record(now() - started, trace);
+      read_latency_->record(now() - started, trace);
       ReadReply out;
       if (freshest != nullptr) {
         out = *freshest;
@@ -1153,6 +1174,7 @@ void SednaNode::handle_client_read(const sim::Message& msg) {
         out.stale = true;
         state->has_answer = true;
         state->answer = freshest->latest;
+        state->answer_expires_at = freshest->expires_at;
         state->served_stale = true;
         state->settled_at = now();
         // Bounded staleness: the served value is no older than the time
@@ -1163,7 +1185,7 @@ void SednaNode::handle_client_read(const sim::Message& msg) {
         if (degraded) {
           metrics_.counter("coordinator.degraded_reads").add(1);
         } else {
-          repair_behind(out.latest);
+          repair_behind(out);
         }
       } else if (state->failures > 0) {
         out.status = StatusCode::kFailure;
@@ -1186,8 +1208,7 @@ void SednaNode::handle_client_read(const sim::Message& msg) {
     const bool exhausted = state->responses >= total;
     if (successes < cfg.read_quorum && !exhausted) return;
     state->replied = true;
-    metrics_.histogram("coordinator.read_latency_us")
-        .record(now() - started, trace);
+    read_latency_->record(now() - started, trace);
     ReadReply out;
     std::map<NodeId, store::SourceValue> merged;
     for (const auto& [node, rep] : state->replies) {
@@ -1211,10 +1232,10 @@ void SednaNode::handle_client_read(const sim::Message& msg) {
   // the client was served against the freshest timestamp any replica
   // reported. The gap — versions behind, and wall-clock µs behind — is a
   // *measured* staleness observation, not a bound.
-  auto audit_finalize = [this, state, total, vnode,
-                         causal = req.causal, mode = req.mode]() {
+  auto audit_finalize = [this, state, total, vnode]() {
     if (auditor_ == nullptr || state->audited || state->responses < total ||
-        causal || mode != ReadMode::kLatest || !state->has_answer) {
+        state->req.causal || state->req.mode != ReadMode::kLatest ||
+        !state->has_answer) {
       return;
     }
     state->audited = true;
@@ -1240,14 +1261,15 @@ void SednaNode::handle_client_read(const sim::Message& msg) {
 
   // Deadline-aware fan-out; see handle_client_write. Deadline-shortened
   // timeouts are abandonment, not failure evidence.
+  const SimTime deadline = state->origin.deadline;
   const SimDuration timeout =
-      fanout_timeout(config().rpc_timeout_us, origin.deadline, now());
+      fanout_timeout(config().rpc_timeout_us, deadline, now());
   const bool deadline_bounded = timeout < config().rpc_timeout_us;
 
-  const std::string payload = req.encode();
+  const std::string payload = state->req.encode();
   for (NodeId replica : replicas) {
     if (replica == id()) {
-      ReadReply rep = local_read(req);
+      ReadReply rep = local_read(state->req);
       instant_span("coord.local_read", std::string(to_string(rep.status)),
                    TraceStage::kService);
       state->replies.emplace_back(id(), std::move(rep));
@@ -1258,8 +1280,9 @@ void SednaNode::handle_client_read(const sim::Message& msg) {
     }
     call_with_timeout(
         replica, kMsgReplicaRead, payload, timeout,
-        [this, state, settle, audit_finalize, replica, vnode, key = req.key,
+        [this, state, settle, audit_finalize, replica, vnode,
          deadline_bounded](const Status& st, const std::string& body) {
+          const std::string& key = state->req.key;
           ++state->responses;
           if (!st.ok()) {
             ++state->failures;
@@ -1279,7 +1302,9 @@ void SednaNode::handle_client_read(const sim::Message& msg) {
               if (state->replied && state->has_answer &&
                   (!rep->has_latest ||
                    rep->latest.ts < state->answer.ts)) {
-                read_repair(latest_write(key, state->answer), {replica});
+                read_repair(latest_write(key, state->answer,
+                                         state->answer_expires_at, now()),
+                            {replica});
               }
               if (state->replied && state->has_causal_answer &&
                   (!rep->has_causal ||
@@ -1294,7 +1319,7 @@ void SednaNode::handle_client_read(const sim::Message& msg) {
           settle();
           audit_finalize();
         },
-        origin.deadline);
+        deadline);
   }
   set_trace_context(prev_ctx);
 }
@@ -1568,7 +1593,8 @@ std::vector<TransferItem> SednaNode::vnode_items(
   std::vector<TransferItem> items;
   for_each_vnode_item(vnode, buckets, [&items](const store::Item& item) {
     items.push_back(TransferItem{item.key, item.has_latest, item.latest,
-                                 item.value_list, item.causal});
+                                 item.value_list, item.causal,
+                                 item.expires_at});
   });
   return items;
 }
@@ -1632,7 +1658,7 @@ void SednaNode::fetch_vnode_from(VnodeId vnode, std::vector<NodeId> sources,
            if (item.has_latest) bytes += item.latest.value.size();
            for (const auto& sv : item.value_list) bytes += sv.value.size();
            writes.clear();
-           append_item_writes(item, writes);
+           append_item_writes(item, now(), writes);
            for (const WriteRequest& w : writes) apply_copy(w);
          }
          metrics_.counter("transfer.items_received").add(rep->items.size());
@@ -1941,7 +1967,8 @@ void SednaNode::reconcile_with_peer(VnodeId vnode, NodeId peer,
   const SpanId span = begin_span("antientropy.reconcile", TraceStage::kRepair);
   const TraceContext prev = enter_span(span);
 
-  const KeyDiff diff = diff_keys(vnode_items(vnode, &rep.mismatched), rep);
+  const KeyDiff diff =
+      diff_keys(vnode_items(vnode, &rep.mismatched), rep, now());
   if (rep.truncated) metrics_.counter("antientropy.truncated_replies").add(1);
 
   auto outstanding = std::make_shared<std::size_t>(1);
@@ -1978,7 +2005,8 @@ void SednaNode::pull_key(NodeId peer, const std::string& key, bool want_list,
          auto rep = st.ok() ? ReadReply::decode(body) : Result<ReadReply>(st);
          if (rep.ok() && (want_causal ? rep->has_causal : rep->has_latest) &&
              apply_copy(want_causal ? causal_write(key, rep->causal)
-                                    : latest_write(key, rep->latest))) {
+                                    : latest_write(key, rep->latest,
+                                                   rep->expires_at, now()))) {
            metrics_.counter("antientropy.keys_pulled").add(1);
          }
          if (!want_list) {
@@ -2311,7 +2339,8 @@ void SednaNode::migration_catchup(VnodeId vnode, NodeId from,
     // authoritative until cutover, so nothing is pushed back. A truncated
     // digest reply leaves a remainder for the post-cutover drain pass (and
     // ultimately anti-entropy) to cover.
-    const KeyDiff diff = diff_keys(vnode_items(vnode, &rep->mismatched), *rep);
+    const KeyDiff diff =
+        diff_keys(vnode_items(vnode, &rep->mismatched), *rep, now());
     const std::size_t pulled = diff.pulls.size();
     metrics_.counter("rebalance.catchup_keys").add(pulled);
     auto outstanding = std::make_shared<std::size_t>(1);

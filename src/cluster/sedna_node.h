@@ -360,6 +360,13 @@ class SednaNode : public sim::Host {
   zk::ZkClient zk_;
   MetadataCache metadata_;
   MetricRegistry metrics_;
+  // Per-request metrics, cached on first use.
+  CounterHandle replica_writes_{metrics_, "replica.writes"};
+  CounterHandle replica_reads_{metrics_, "replica.reads"};
+  CounterHandle coordinator_writes_{metrics_, "coordinator.writes"};
+  CounterHandle coordinator_reads_{metrics_, "coordinator.reads"};
+  HistogramHandle write_latency_{metrics_, "coordinator.write_latency_us"};
+  HistogramHandle read_latency_{metrics_, "coordinator.read_latency_us"};
   bool ready_ = false;
   /// Set by on_crash: the next start() must hydrate the empty store from
   /// peer replicas before reporting ready (see restart_hydration).

@@ -26,7 +26,11 @@
 // legacy bytes — the simulated network charges delay by payload size, so
 // an unconditional field would shift every seeded run. When `present` is
 // a bool field, the reader sets it to whether the section was there.
-// io.sparse(items, &T::field) is the one index-addressed trailing section.
+// io.sparse(items, &T::a, &T::b, ...) writes index-addressed trailing
+// sections, one per field in order: a u32 count of the items whose field
+// carries state, then (u32 index, field) pairs. Sections left without
+// state at the end are omitted, so adding a field keeps the bytes of
+// every message that does not use it.
 // io.check(ok) states a message-specific validity rule: a false `ok` fails
 // the reader; encoders ignore it.
 #pragma once
@@ -123,15 +127,13 @@ class BasicWriter {
     return present;
   }
 
-  template <typename T, typename F>
-  void sparse(const std::vector<T>& items, F T::*field) {
-    std::uint32_t n = 0;
-    for (const T& item : items) n += wire_detail::present(item.*field);
-    if (n == 0) return;
-    put_u32(n);
-    for (std::uint32_t i = 0; i < items.size(); ++i) {
-      if (wire_detail::present(items[i].*field)) (*this)(i, items[i].*field);
-    }
+  template <typename T, typename... F>
+  void sparse(const std::vector<T>& items, F T::*... fields) {
+    std::size_t sections = 0;
+    std::size_t k = 0;
+    ((++k, sections = present_count(items, fields) != 0 ? k : sections), ...);
+    k = 0;
+    ((++k <= sections ? sparse_section(items, fields) : void()), ...);
   }
 
   void check(bool) {}
@@ -171,6 +173,22 @@ class BasicWriter {
       tmp[i] = static_cast<char>((v >> (8 * i)) & 0xff);
     }
     buf_.append(tmp, sizeof(T));
+  }
+
+  template <typename T, typename F>
+  static std::uint32_t present_count(const std::vector<T>& items,
+                                     F T::*field) {
+    std::uint32_t n = 0;
+    for (const T& item : items) n += wire_detail::present(item.*field);
+    return n;
+  }
+
+  template <typename T, typename F>
+  void sparse_section(const std::vector<T>& items, F T::*field) {
+    put_u32(present_count(items, field));
+    for (std::uint32_t i = 0; i < items.size(); ++i) {
+      if (wire_detail::present(items[i].*field)) (*this)(i, items[i].*field);
+    }
   }
 
   Sink buf_;
@@ -225,16 +243,11 @@ class BinaryReader {
     return here;
   }
 
-  /// Fills the indexed elements; an index past the end fails.
-  template <typename T, typename F>
-  void sparse(std::vector<T>& items, F T::*field) {
-    if (failed_ || exhausted()) return;
-    const std::uint32_t n = count();
-    for (std::uint32_t i = 0; i < n && !failed_; ++i) {
-      const std::uint32_t idx = get_u32();
-      check(idx < items.size());
-      if (!failed_) get(items[idx].*field);
-    }
+  /// Fills the indexed elements; an index past the end fails. A section
+  /// the buffer ends before is absent.
+  template <typename T, typename... F>
+  void sparse(std::vector<T>& items, F T::*... fields) {
+    (sparse_section(items, fields), ...);
   }
 
   void check(bool ok) {
@@ -247,6 +260,17 @@ class BinaryReader {
   }
 
  private:
+  template <typename T, typename F>
+  void sparse_section(std::vector<T>& items, F T::*field) {
+    if (failed_ || exhausted()) return;
+    const std::uint32_t n = count();
+    for (std::uint32_t i = 0; i < n && !failed_; ++i) {
+      const std::uint32_t idx = get_u32();
+      check(idx < items.size());
+      if (!failed_) get(items[idx].*field);
+    }
+  }
+
   template <typename T>
   void get(T& v) {
     if constexpr (WireType<T>) {

@@ -4,8 +4,11 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 namespace sedna {
@@ -130,27 +133,73 @@ class Histogram {
 
 /// Named metric registry; one per node / per bench run. (For the
 /// cluster-wide registry-of-registries see MetricsRegistry below.)
+/// A metric, once created, lives as long as the registry at a fixed
+/// address, so callers may cache the reference (see MetricHandle).
 class MetricRegistry {
  public:
-  Counter& counter(const std::string& name) { return counters_[name]; }
-  Histogram& histogram(const std::string& name) { return histograms_[name]; }
+  Counter& counter(std::string_view name) {
+    return find_or_add(counters_, name);
+  }
+  Histogram& histogram(std::string_view name) {
+    return find_or_add(histograms_, name);
+  }
 
-  [[nodiscard]] const std::map<std::string, Counter>& counters() const {
+  [[nodiscard]] const std::map<std::string, Counter, std::less<>>& counters()
+      const {
     return counters_;
   }
-  [[nodiscard]] const std::map<std::string, Histogram>& histograms() const {
+  [[nodiscard]] const std::map<std::string, Histogram, std::less<>>&
+  histograms() const {
     return histograms_;
   }
 
-  void reset() {
-    counters_.clear();
-    histograms_.clear();
+ private:
+  template <class Map>
+  static typename Map::mapped_type& find_or_add(Map& map,
+                                                std::string_view name) {
+    auto it = map.lower_bound(name);
+    if (it == map.end() || it->first != name) {
+      it = map.emplace_hint(it, name, typename Map::mapped_type{});
+    }
+    return it->second;
   }
 
- private:
-  std::map<std::string, Counter> counters_;
-  std::map<std::string, Histogram> histograms_;
+  std::map<std::string, Counter, std::less<>> counters_;
+  std::map<std::string, Histogram, std::less<>> histograms_;
 };
+
+/// A registry metric looked up by name on first use and cached after, for
+/// hot paths. Resolving lazily keeps a series that never fires out of the
+/// registry, so dumps list exactly the metrics that were touched.
+template <class Metric>
+class MetricHandle {
+ public:
+  /// `name` must outlive the handle (a string literal in practice).
+  MetricHandle(MetricRegistry& registry, const char* name)
+      : registry_(&registry), name_(name) {}
+
+  Metric& operator*() {
+    if (metric_ == nullptr) metric_ = &lookup();
+    return *metric_;
+  }
+  Metric* operator->() { return &**this; }
+
+ private:
+  Metric& lookup() {
+    if constexpr (std::is_same_v<Metric, Counter>) {
+      return registry_->counter(name_);
+    } else {
+      return registry_->histogram(name_);
+    }
+  }
+
+  MetricRegistry* registry_;
+  const char* name_;
+  Metric* metric_ = nullptr;
+};
+
+using CounterHandle = MetricHandle<Counter>;
+using HistogramHandle = MetricHandle<Histogram>;
 
 /// Cluster-wide metrics registry: names each per-node MetricRegistry with
 /// a stable label ("node-100", "client-1000", ...) and renders

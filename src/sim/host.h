@@ -86,10 +86,10 @@ class Host {
     net_.attach(id_, this);
   }
   virtual ~Host() {
-    // Invalidate every event lambda that still points at this host (CPU
-    // dispatches, RPC timeouts): hosts may die while the simulation runs
+    // Cancel every event that still points at this host (the CPU
+    // completion, RPC timeouts): hosts may die while the simulation runs
     // on (e.g. a short-lived bootstrap client).
-    *live_ = false;
+    cpu_done_.cancel();
     for (auto& [rpc_id, pending] : pending_) pending.timeout.cancel();
     net_.detach(id_);
   }
@@ -119,6 +119,7 @@ class Host {
     for (auto& q : queues_) q.clear();
     queued_ = 0;
     cpu_busy_ = false;
+    in_service_ = {};
     ++cpu_epoch_;  // orphan any in-flight service completion event
     trace_ctx_ = {};
     on_crash();
@@ -130,8 +131,9 @@ class Host {
   }
 
   /// Entry point used by Network: admit (or shed) the message, then queue
-  /// it behind the CPU in its priority class.
-  void deliver(const Message& msg) {
+  /// it behind the CPU in its priority class. The message is moved, never
+  /// copied, from here to dispatch.
+  void deliver(Message msg) {
     if (!alive_) return;
     const std::size_t prio = clamp_priority(message_priority(msg));
     if (!msg.is_response && config_.max_ingress_queue > 0) {
@@ -146,11 +148,8 @@ class Host {
     // Service cost is drawn at arrival (not at dequeue) so the shared RNG
     // stream is consumed in network-delivery order — the same order the
     // pre-queue timeline model used.
-    QueuedMessage item;
-    item.msg = msg;
-    item.arrival = sim().now();
-    item.cost = service_cost(msg);
-    queues_[prio].push_back(std::move(item));
+    const SimDuration cost = service_cost(msg);
+    queues_[prio].push_back(QueuedMessage{std::move(msg), now(), cost});
     ++queued_;
     if (!cpu_busy_) start_next();
   }
@@ -169,10 +168,14 @@ class Host {
                          SimTime deadline = 0) {
     const std::uint64_t rpc_id = next_rpc_id_++;
     const TraceContext caller_ctx = trace_ctx_;
-    const SpanId rpc_span = tracer().begin(caller_ctx, rpc_span_name(type),
-                                           id_, now(), rpc_span_stage(type));
-    auto timer = sim().schedule(timeout, [this, live = live_, rpc_id]() {
-      if (!*live) return;
+    // The span name is only built while tracing: it costs an allocation.
+    const SpanId rpc_span =
+        tracer().enabled() ? tracer().begin(caller_ctx, rpc_span_name(type),
+                                            id_, now(), rpc_span_stage(type))
+                           : 0;
+    // Crash and destruction cancel this timer, so it never finds the host
+    // gone.
+    auto timer = sim().schedule(timeout, [this, rpc_id]() {
       auto it = pending_.find(rpc_id);
       if (it == pending_.end()) return;
       Pending pending = std::move(it->second);
@@ -348,16 +351,17 @@ class Host {
         continue;
       }
       cpu_busy_ = true;
-      const SimTime start = now();
-      sim().schedule(
-          item.cost,
-          [this, live = live_, epoch = cpu_epoch_, item = std::move(item),
-           start]() mutable {
-            if (!*live || epoch != cpu_epoch_) return;
-            cpu_busy_ = false;
-            if (alive_) dispatch(item.msg, item.arrival, start, item.cost);
-            if (alive_ && !cpu_busy_) start_next();
-          });
+      const SimDuration cost = item.cost;
+      in_service_ = std::move(item);
+      cpu_done_ = sim().schedule(cost, [this, epoch = cpu_epoch_,
+                                        start = now()]() {
+        if (epoch != cpu_epoch_) return;
+        cpu_busy_ = false;
+        // Moved out first: a handler may put this CPU to work again.
+        const QueuedMessage done = std::move(in_service_);
+        if (alive_) dispatch(done.msg, done.arrival, start, done.cost);
+        if (alive_ && !cpu_busy_) start_next();
+      });
       return;
     }
     cpu_busy_ = false;
@@ -407,14 +411,15 @@ class Host {
   Network& net_;
   NodeId id_;
   HostConfig config_;
-  /// Shared liveness token: lambdas queued in the simulation check it so
-  /// a destroyed host is never dereferenced.
-  std::shared_ptr<bool> live_ = std::make_shared<bool>(true);
   bool alive_ = true;
   /// Real ingress queues, one per priority class, drained by one core.
   std::array<std::deque<QueuedMessage>, kHostPriorities> queues_;
   std::size_t queued_ = 0;
   bool cpu_busy_ = false;
+  /// The message on the CPU and the event that completes it (cancelled if
+  /// the host is destroyed first).
+  QueuedMessage in_service_;
+  TimerHandle cpu_done_;
   /// Bumped on crash so an in-flight service-completion event from the
   /// previous incarnation cannot touch the restarted host.
   std::uint64_t cpu_epoch_ = 0;

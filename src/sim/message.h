@@ -40,6 +40,21 @@ struct Message {
   /// the modeled fixed header, like the trace context.
   SimTime deadline = 0;
 
+  /// A copy of everything but the payload: what a handler keeps to reply
+  /// to a request (or to read its deadline) once the payload is decoded.
+  [[nodiscard]] Message header() const {
+    Message h;
+    h.from = from;
+    h.to = to;
+    h.type = type;
+    h.rpc_id = rpc_id;
+    h.is_response = is_response;
+    h.trace_id = trace_id;
+    h.span_id = span_id;
+    h.deadline = deadline;
+    return h;
+  }
+
   [[nodiscard]] std::size_t wire_size() const {
     // Headers modeled as a fixed 32-byte cost, roughly an Ethernet+IP+TCP
     // header share plus framing, matching the 1 GbE testbed assumption.

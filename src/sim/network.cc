@@ -57,7 +57,10 @@ void Network::send(Message msg) {
   }
 
   const SimDuration delay = loopback ? 1 : delivery_delay(msg);
-  sim_.schedule(delay, [this, m = std::move(msg)]() {
+  // The delivery closure carries the message itself; EventFn is sized to
+  // hold it without a heap allocation.
+  static_assert(sizeof(Network*) + sizeof(Message) <= EventFn::kInlineBytes);
+  sim_.schedule(delay, [this, m = std::move(msg)]() mutable {
     // Re-check liveness at delivery time: the receiver may have crashed
     // while the message was in flight.
     if (down_.contains(m.to)) {
@@ -70,7 +73,7 @@ void Network::send(Message msg) {
       return;
     }
     ++delivered_;
-    it->second->deliver(m);
+    it->second->deliver(std::move(m));
   });
 }
 

@@ -4,12 +4,21 @@
 #include <atomic>
 #include <cassert>
 #include <charconv>
+#include <chrono>
 
 #include "common/hash.h"
 
 namespace sedna::store {
 
 namespace {
+
+/// The default clock: microseconds of the process's monotonic clock.
+std::uint64_t monotonic_us() {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::steady_clock::now().time_since_epoch())
+          .count());
+}
 
 std::size_t round_up_pow2(std::size_t v) {
   std::size_t p = 1;
@@ -333,7 +342,7 @@ struct LocalStore::Shard {
 };
 
 LocalStore::LocalStore(LocalStoreConfig config, ClockFn clock)
-    : config_(config), clock_(std::move(clock)) {
+    : config_(config), clock_(clock ? std::move(clock) : monotonic_us) {
   const std::size_t n = round_up_pow2(std::max<std::size_t>(1, config_.shards));
   shard_mask_ = n - 1;
   shards_.reserve(n);
@@ -361,7 +370,7 @@ const LocalStore::Shard& LocalStore::shard_for(std::string_view key) const {
 }
 
 std::uint64_t LocalStore::clock_now() const {
-  return clock_ ? clock_() : 0;
+  return clock_();
 }
 
 Timestamp LocalStore::next_timestamp() {
@@ -445,11 +454,13 @@ Status LocalStore::write_all(std::string_view key, NodeId source,
   return Status::Ok();
 }
 
-Result<VersionedValue> LocalStore::read_latest(std::string_view key) {
+Result<VersionedValue> LocalStore::read_latest(std::string_view key,
+                                               std::uint64_t* expires_at) {
   Shard& s = shard_for(key);
   std::lock_guard lock(s.mu);
   const Item* it = s.lookup(key, clock_now(), has_latest);
   if (it == nullptr) return Status::NotFound();
+  if (expires_at != nullptr) *expires_at = it->expires_at;
   return it->latest;
 }
 

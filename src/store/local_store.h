@@ -58,8 +58,8 @@ struct ChangeRecord {
 class LocalStore {
  public:
   /// Clock used for expiry and default timestamps. Simulated nodes pass
-  /// the virtual clock; standalone users may leave the default (a process
-  /// monotonic counter).
+  /// the virtual clock; standalone users may leave the default (the
+  /// process's monotonic clock, in microseconds).
   using ClockFn = std::function<std::uint64_t()>;
   /// Consulted (when set) to decide if a key's changes are captured.
   using MonitoredPredicate = std::function<bool(std::string_view)>;
@@ -84,7 +84,10 @@ class LocalStore {
   Status write_all(std::string_view key, NodeId source,
                    std::string_view value, Timestamp ts);
 
-  [[nodiscard]] Result<VersionedValue> read_latest(std::string_view key);
+  /// `expires_at` (optional) receives the item's absolute expiry, 0 =
+  /// never.
+  [[nodiscard]] Result<VersionedValue> read_latest(
+      std::string_view key, std::uint64_t* expires_at = nullptr);
   [[nodiscard]] Result<std::vector<SourceValue>> read_all(
       std::string_view key);
 
@@ -150,7 +153,7 @@ class LocalStore {
 
   // ---- maintenance / integration ----------------------------------------
 
-  /// The store's clock (expiry and default timestamps); 0 when unset.
+  /// The store's clock (expiry and default timestamps).
   [[nodiscard]] std::uint64_t clock_now() const;
 
   void set_track_changes(bool on);

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -439,6 +440,90 @@ TEST(AntiEntropy, CausalRecordAndValueListOnDifferentReplicasConverge) {
     ASSERT_EQ(list->size(), 1u) << "replica " << r;
     EXPECT_EQ((*list)[0].value, "element") << "replica " << r;
   }
+}
+
+// ---- Expiry over repair and transfer -------------------------------------
+
+/// Writes `key` with a TTL and returns once the write is acked.
+void write_ttl(SednaCluster& cluster, SednaClient& client,
+               const std::string& key, SimDuration ttl = sim_sec(2)) {
+  std::optional<Status> st;
+  client.write_latest_ttl(key, "short-lived", ttl,
+                          [&](const Status& s) { st = s; });
+  ASSERT_TRUE(cluster.run_until([&] { return st.has_value(); }));
+  ASSERT_TRUE(st->ok());
+}
+
+TEST(TtlRepair, HydratedReplicaKeepsTheDeadline) {
+  SednaCluster cluster(base_config());
+  ASSERT_TRUE(cluster.boot().ok());
+  auto& client = cluster.make_client();
+  const std::string key = "session/hydrated";
+  write_ttl(cluster, client, key);
+  cluster.run_for(sim_ms(50));
+  ASSERT_EQ(replicas_holding(cluster, key, "short-lived"), 3u);
+
+  // No WAL: the restarted replica pulls its vnodes back from the peers.
+  const std::size_t victim = node_index(
+      cluster, cluster.node(0).metadata().table().replicas_for_key(key)[2]);
+  cluster.crash_node(victim);
+  cluster.restart_node(victim);
+  ASSERT_TRUE(
+      cluster.node(victim).local_store().read_latest(key).ok());
+
+  cluster.run_for(sim_sec(3));
+  EXPECT_EQ(replicas_holding(cluster, key, "short-lived"), 0u);
+}
+
+TEST(TtlRepair, ReadRepairedReplicaKeepsTheDeadline) {
+  SednaClusterConfig cfg = base_config();
+  cfg.node_template.hint_max_queued = 0;         // isolate read repair
+  cfg.node_template.anti_entropy_interval = 0;
+  SednaCluster cluster(cfg);
+  ASSERT_TRUE(cluster.boot().ok());
+  auto& client = cluster.make_client();
+  const std::string key = "session/read-repaired";
+  const auto replicas =
+      cluster.node(0).metadata().table().replicas_for_key(key);
+  cluster.network().partition(replicas[2], replicas[0]);
+  cluster.network().partition(replicas[2], replicas[1]);
+  write_ttl(cluster, client, key);
+  cluster.run_for(sim_ms(50));
+  ASSERT_EQ(replicas_holding(cluster, key, "short-lived"), 2u);
+
+  cluster.network().heal_all();
+  ASSERT_TRUE(cluster.read_latest(client, key).ok());
+  cluster.run_for(sim_ms(200));
+  ASSERT_EQ(replicas_holding(cluster, key, "short-lived"), 3u);
+
+  cluster.run_for(sim_sec(3));
+  EXPECT_EQ(replicas_holding(cluster, key, "short-lived"), 0u);
+}
+
+TEST(TtlRepair, AntiEntropyCopyKeepsTheDeadline) {
+  SednaClusterConfig cfg = base_config();
+  cfg.node_template.hint_max_queued = 0;  // isolate the Merkle path
+  SednaCluster cluster(cfg);
+  ASSERT_TRUE(cluster.boot().ok());
+  auto& client = cluster.make_client();
+  const std::string key = "session/anti-entropy";
+  const auto replicas =
+      cluster.node(0).metadata().table().replicas_for_key(key);
+  cluster.network().partition(replicas[2], replicas[0]);
+  cluster.network().partition(replicas[2], replicas[1]);
+  write_ttl(cluster, client, key, sim_sec(5));
+  cluster.network().heal_all();
+  // One full anti-entropy sweep (2 s) copies the key, well inside its
+  // lifetime; the copy must expire with the originals.
+  ASSERT_TRUE(cluster.run_until([&] {
+    return replicas_holding(cluster, key, "short-lived") == 3;
+  }));
+  EXPECT_GE(sum_counter(cluster, "antientropy.keys_pushed") +
+                sum_counter(cluster, "antientropy.keys_pulled"),
+            1u);
+
+  cluster.run_for(sim_sec(6));
+  EXPECT_EQ(replicas_holding(cluster, key, "short-lived"), 0u);
 }
 
 // ---- Client retry backoff ----------------------------------------------

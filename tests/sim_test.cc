@@ -1,9 +1,13 @@
 // Tests for the discrete-event substrate: event ordering, timers,
 // network delivery model, failure injection, host CPU serialization and
-#include <map>
-#include <optional>
 // the RPC layer.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <map>
+#include <optional>
+#include <string>
+#include <vector>
 
 #include "sim/host.h"
 #include "sim/network.h"
@@ -96,6 +100,102 @@ TEST(Simulation, SeededRngIsDeterministic) {
   for (int i = 0; i < 100; ++i) {
     EXPECT_EQ(a.rng().next(), b.rng().next());
   }
+}
+
+TEST(Simulation, CancelAfterFireIsInertEvenWhenTheSlotIsReused) {
+  Simulation sim;
+  int first = 0;
+  int second = 0;
+  TimerHandle fired = sim.schedule(10, [&] { ++first; });
+  sim.run();
+  EXPECT_EQ(first, 1);
+  EXPECT_FALSE(fired.active());
+  // The next event takes the slot the fired one freed; the stale handle
+  // must not reach it.
+  TimerHandle next = sim.schedule(10, [&] { ++second; });
+  fired.cancel();
+  EXPECT_TRUE(next.active());
+  sim.run();
+  EXPECT_EQ(second, 1);
+}
+
+TEST(Simulation, PeriodicCancelsItselfFromItsOwnCallback) {
+  Simulation sim;
+  int fires = 0;
+  TimerHandle handle;
+  handle = sim.schedule_periodic(100, [&] {
+    if (++fires == 3) handle.cancel();
+  });
+  sim.run_until(1000);
+  EXPECT_EQ(fires, 3);
+  EXPECT_FALSE(handle.active());
+  EXPECT_EQ(sim.run(10), 0u);  // nothing re-armed
+
+  // Cancel-then-reschedule from inside the callback (a restarted
+  // heartbeat): only the new schedule runs, even though it may reuse the
+  // slot of the one it replaced.
+  int old_fires = 0;
+  int new_fires = 0;
+  handle = sim.schedule_periodic(100, [&] {
+    ++old_fires;
+    handle.cancel();
+    handle = sim.schedule_periodic(50, [&] { ++new_fires; });
+  });
+  sim.run_for(300);
+  EXPECT_EQ(old_fires, 1);
+  EXPECT_EQ(new_fires, 4);
+}
+
+TEST(Simulation, CopiedHandleCancelsTheSameEvent) {
+  Simulation sim;
+  bool ran = false;
+  int ticks = 0;
+  TimerHandle one_shot = sim.schedule(10, [&] { ran = true; });
+  TimerHandle periodic = sim.schedule_periodic(10, [&] { ++ticks; });
+  const TimerHandle one_shot_copy = one_shot;
+  TimerHandle periodic_copy = periodic;
+  sim.run_until(25);
+  EXPECT_EQ(ticks, 2);
+  EXPECT_TRUE(ran);
+  EXPECT_FALSE(one_shot_copy.active());  // fired: inert through every copy
+
+  ran = false;
+  periodic_copy.cancel();
+  EXPECT_FALSE(periodic.active());
+  TimerHandle late = sim.schedule(10, [&] { ran = true; });
+  TimerHandle late_copy = late;
+  late_copy.cancel();
+  EXPECT_FALSE(late.active());
+  // Bounded: a periodic that escaped its cancel would never drain.
+  EXPECT_EQ(sim.run(100), 0u);
+  EXPECT_EQ(ticks, 2);
+  EXPECT_FALSE(ran);
+}
+
+TEST(Simulation, SameTimeEventsStayFifoAcrossCancels) {
+  Simulation sim;
+  std::vector<int> order;
+  std::vector<TimerHandle> handles;
+  for (int i = 0; i < 20; ++i) {
+    handles.push_back(sim.schedule(5, [&order, i] { order.push_back(i); }));
+  }
+  std::vector<int> expected;
+  for (int i = 0; i < 20; ++i) {
+    if (i % 3 == 0) {
+      handles[i].cancel();
+    } else {
+      expected.push_back(i);
+    }
+  }
+  // Later events reuse the cancelled events' slots but still run after
+  // every earlier same-time event.
+  for (int i = 20; i < 27; ++i) {
+    sim.schedule(5, [&order, i] { order.push_back(i); });
+    expected.push_back(i);
+  }
+  sim.run();
+  EXPECT_EQ(order, expected);
+  EXPECT_EQ(sim.now(), 5u);
 }
 
 // ---- Network model ------------------------------------------------------------
@@ -366,6 +466,108 @@ TEST(Rpc, CrashClearsPendingCallbacks) {
   client.crash();
   sim.run();
   EXPECT_FALSE(fired);  // the whole host died; no stray callback
+}
+
+/// Records every payload it services or sheds, in order.
+class PayloadHost : public Host {
+ public:
+  using Host::Host;
+  std::vector<std::string> serviced;
+  std::vector<std::string> shed;
+
+ protected:
+  void on_message(const Message& msg) override {
+    serviced.push_back(msg.payload);
+  }
+  void on_shed(const Message& msg, ShedReason) override {
+    shed.push_back(msg.payload);
+  }
+};
+
+TEST(Host, MovedPayloadsArriveIntactOnEveryPath) {
+  Simulation sim;
+  Network net(sim);
+  HostConfig cfg;
+  cfg.max_ingress_queue = 2;
+  cfg.base_service_us = 1000;  // slower than the burst arrives
+  SinkHost sender(net, 1);
+  PayloadHost receiver(net, 2, cfg);
+  // Heap-sized payloads, so a payload lost to a move shows as empty.
+  auto payload = [](int i) { return std::string(64, 'a' + i); };
+
+  // Queue-full shedding: the shed messages keep their payloads too.
+  for (int i = 0; i < 5; ++i) sender.send_oneway(2, 900, payload(i));
+  sim.run();
+  ASSERT_EQ(receiver.serviced.size() + receiver.shed.size(), 5u);
+  ASSERT_FALSE(receiver.shed.empty());
+  std::vector<std::string> seen = receiver.serviced;
+  seen.insert(seen.end(), receiver.shed.begin(), receiver.shed.end());
+  std::sort(seen.begin(), seen.end());
+  for (int i = 0; i < 5; ++i) EXPECT_EQ(seen[i], payload(i));
+
+  // Deadline shedding at dequeue: the payload has been through the queue.
+  receiver.serviced.clear();
+  receiver.shed.clear();
+  sender.call_with_timeout(
+      2, 900, payload(5), 1000, [](const Status&, const std::string&) {},
+      /*deadline=*/sim.now() + 1);
+  sim.run();
+  EXPECT_TRUE(receiver.serviced.empty());
+  EXPECT_EQ(receiver.shed, std::vector<std::string>{payload(5)});
+
+  // Crash while a message is in flight: it is dropped at delivery; the
+  // next one after the restart arrives whole.
+  receiver.shed.clear();
+  sender.send_oneway(2, 900, payload(6));
+  sim.schedule(1, [&] { receiver.crash(); });
+  sim.run();
+  EXPECT_TRUE(receiver.serviced.empty());
+  EXPECT_EQ(net.metrics().counter("net.drops.crashed").value(), 1u);
+  receiver.restart();
+  sender.send_oneway(2, 900, payload(7));
+  sim.run();
+  EXPECT_EQ(receiver.serviced, std::vector<std::string>{payload(7)});
+
+  // A partition drops at send; the healed link delivers intact.
+  receiver.serviced.clear();
+  net.partition(1, 2);
+  sender.send_oneway(2, 900, payload(8));
+  net.heal(1, 2);
+  sender.send_oneway(2, 900, payload(9));
+  sim.run();
+  EXPECT_EQ(receiver.serviced, std::vector<std::string>{payload(9)});
+  EXPECT_TRUE(receiver.shed.empty());
+}
+
+TEST(Rpc, LargeResponsePayloadRoundTrips) {
+  Simulation sim;
+  Network net(sim);
+  EchoHost server(net, 1);
+  SinkHost client(net, 2);
+  const std::string big(4096, 'q');
+  std::optional<std::string> response;
+  client.call(1, 900, big, [&](const Status& st, const std::string& body) {
+    ASSERT_TRUE(st.ok());
+    response = body;
+  });
+  sim.run();
+  ASSERT_TRUE(response.has_value());
+  EXPECT_EQ(*response, "echo:" + big);
+}
+
+TEST(Rpc, DestroyedHostWithCpuWorkInFlight) {
+  Simulation sim;
+  Network net(sim);
+  HostConfig slow;
+  slow.base_service_us = 1000;
+  SinkHost sender(net, 1);
+  {
+    SinkHost busy(net, 2, slow);
+    sender.send_oneway(2, 900, "work");
+    sim.run_for(500);  // delivered, service still running
+  }  // destroyed mid-service
+  sim.run();  // the completion must not touch the destroyed host
+  SUCCEED();
 }
 
 TEST(Rpc, DestroyedHostNeverTouchedBySim) {

@@ -3,6 +3,7 @@
 // dirty-table change capture, and thread safety.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <thread>
 
 #include "store/local_store.h"
@@ -261,6 +262,18 @@ TEST(Expiry, ExpiredSlotReusableForWriteLatest) {
   // Lazy expiry removes the item, so even an older LWW timestamp lands.
   EXPECT_TRUE(store.write_latest("k", "new", 1).ok());
   EXPECT_EQ(store.read_latest("k")->value, "new");
+}
+
+TEST(Expiry, DefaultClockIsMonotonicMicroseconds) {
+  // No ClockFn: the store falls back to the process's monotonic clock, so
+  // a TTL runs out in real time.
+  LocalStore store;
+  const std::uint64_t t0 = store.clock_now();
+  ASSERT_TRUE(store.write_latest("k", "v", 1, 0, /*ttl=*/1000).ok());
+  EXPECT_TRUE(store.read_latest("k").ok());
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  EXPECT_GE(store.clock_now(), t0 + 5000);
+  EXPECT_FALSE(store.read_latest("k").ok());
 }
 
 // ---- LRU eviction / memory accounting ---------------------------------------
