@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/codec.h"
@@ -169,6 +170,11 @@ struct ReadReply {
     return wire_decode<ReadReply>(bytes, "bad read reply");
   }
 };
+
+/// The reply a client read or write request is answered with.
+template <class Request>
+using ReplyOf = std::conditional_t<std::is_same_v<Request, WriteRequest>,
+                                   WriteReply, ReadReply>;
 
 /// One transferable item (vnode recovery / join data movement).
 struct TransferItem {

@@ -1,6 +1,8 @@
 #include "cluster/sedna_client.h"
 
 #include <algorithm>
+#include <optional>
+#include <type_traits>
 
 namespace sedna::cluster {
 
@@ -88,17 +90,6 @@ TraceStage SednaClient::rpc_span_stage(sim::MessageType type) const {
   }
 }
 
-SednaClient::WriteCallback SednaClient::traced_write(const char* op,
-                                                     WriteCallback cb) {
-  const TraceContext root = begin_trace(op, TraceStage::kService);
-  const SimTime started = now();
-  return [this, root, started, cb = std::move(cb)](const Status& st) {
-    write_latency_->record(now() - started, root.trace_id);
-    end_span(root.span_id, std::string(to_string(st.code())));
-    cb(st);
-  };
-}
-
 SimDuration SednaClient::retry_backoff(int next_attempt) {
   if (config_.retry_backoff_initial_us == 0) return 0;
   SimDuration base = config_.retry_backoff_initial_us;
@@ -123,18 +114,31 @@ NodeId SednaClient::coordinator_for(const std::string& key,
   return replicas[static_cast<std::size_t>(attempt) % replicas.size()];
 }
 
-void SednaClient::do_write(WriteRequest req, int attempt, SimTime deadline,
-                           WriteCallback cb) {
-  do_write_full(std::move(req), attempt, deadline,
-                [cb = std::move(cb)](const Result<WriteReply>& rep) {
-                  cb(rep.ok() ? Status(rep->status) : rep.status());
-                });
+template <class Request, class Done>
+void SednaClient::run(std::string_view op, Request req, Done done) {
+  const TraceContext root = begin_trace(op, TraceStage::kService);
+  const SimTime started = now();
+  attempt<Request>(
+      std::move(req), 0, op_deadline(),
+      [this, root, started,
+       done = std::move(done)](const Result<ReplyOf<Request>>& rep) {
+        (std::is_same_v<Request, WriteRequest> ? write_latency_
+                                               : read_latency_)
+            ->record(now() - started, root.trace_id);
+        end_span(root.span_id,
+                 to_string(rep.ok() ? rep->status : rep.status().code()));
+        done(rep);
+      });
 }
 
-void SednaClient::do_write_full(
-    WriteRequest req, int attempt, SimTime deadline,
-    std::function<void(const Result<WriteReply>&)> cb) {
-  const NodeId coordinator = coordinator_for(req.key, attempt);
+template <class Request>
+void SednaClient::attempt(Request req, int n, SimTime deadline,
+                          ReplyCallback<Request> cb) {
+  constexpr bool kWrite = std::is_same_v<Request, WriteRequest>;
+  using Reply = ReplyOf<Request>;
+  const char* const failures =
+      kWrite ? "client.write_failures" : "client.read_failures";
+  const NodeId coordinator = coordinator_for(req.key, n);
   if (coordinator == kInvalidNode) {
     cb(Status::Unavailable("no replicas for key"));
     return;
@@ -142,187 +146,136 @@ void SednaClient::do_write_full(
   // The whole-op deadline may have lapsed during a backoff sleep; give up
   // here rather than launch an attempt whose answer nobody wants.
   if (deadline != 0 && now() >= deadline) {
-    metrics_.counter("client.write_failures").add(1);
+    metrics_.counter(failures).add(1);
     cb(Status::Timeout("op deadline exceeded"));
     return;
   }
   // Attempt span: one per coordinator tried. Siblings under the op root,
-  // so a retried write reads as attempt#0 (timeout) then attempt#1 (ok).
-  const SpanId span = begin_span(
-      "client.write.attempt#" + std::to_string(attempt), TraceStage::kService);
+  // so a retried op reads as attempt#0 (timeout) then attempt#1 (ok). Its
+  // name costs an allocation, so it is built only while tracing.
+  const SpanId span =
+      tracer().enabled()
+          ? begin_span(std::string(kWrite ? "client.write.attempt#"
+                                          : "client.read.attempt#") +
+                           std::to_string(n),
+                       TraceStage::kService)
+          : 0;
   const TraceContext parent = enter_span(span);
   // Encode before the lambda capture moves `req` (argument evaluation
   // order is unspecified).
   std::string payload = req.encode();
   call_with_timeout(
-      coordinator, kMsgClientWrite, std::move(payload),
-      attempt_timeout(deadline),
-      [this, req = std::move(req), attempt, deadline, span, parent,
+      coordinator, kWrite ? kMsgClientWrite : kMsgClientRead,
+      std::move(payload), attempt_timeout(deadline),
+      [this, req = std::move(req), n, deadline, span, parent, failures,
        cb = std::move(cb)](const Status& st,
                            const std::string& body) mutable {
-         Result<WriteReply> final =
-             Status::Failure("write attempts exhausted");
-         if (st.ok()) {
-           auto rep = WriteReply::decode(body);
-           // kUnavailable (node not ready), kFailure (quorum broken —
-           // often stale routing at the coordinator while recovery is in
-           // flight) and kOverloaded (explicit shed) are retryable: the
-           // timestamp is pinned at the first attempt, so a replayed
-           // write is idempotent under LWW (and a causal replay re-sends
-           // the same context — the coordinator mints a fresh dot, but
-           // the earlier attempt's ack never reached the client, so the
-           // extra sibling is pruned by the client's next contextual put).
-           if (rep.ok() && rep->status != StatusCode::kUnavailable &&
-               rep->status != StatusCode::kFailure &&
-               rep->status != StatusCode::kOverloaded) {
-             writes_->add(1);
-             refill_retry_budget();
-             end_span(span, std::string(to_string(rep->status)));
-             cb(std::move(rep));
-             return;
-           }
-           if (rep.ok()) final = Status(rep->status);
-         }
-         if (attempt + 1 >= config_.max_attempts) {
-           metrics_.counter("client.write_failures").add(1);
-           end_span(span, "failure");
-           cb(final);
-           return;
-         }
-         if (!spend_retry_token()) {
-           metrics_.counter("client.write_failures").add(1);
-           end_span(span, "overloaded");
-           cb(Status::Overloaded("retry budget exhausted"));
-           return;
-         }
-         // Refresh routing state, wait out the jittered backoff, then
-         // retry via the next replica.
-         metrics_.counter("client.write_retries").add(1);
-         end_span(span, st.ok() ? "retry" : "timeout");
-         const SimDuration backoff = retry_backoff(attempt + 1);
-         // The metadata re-sync + backoff sleep before the next attempt
-         // is real client-visible latency — span it as retry time.
-         const SpanId wait = tracer().begin(parent, "client.retry_wait", id(),
-                                            now(), TraceStage::kRetry);
-         metadata_.sync_now([this, req = std::move(req), attempt, deadline,
-                             parent, backoff, wait,
-                             cb = std::move(cb)]() mutable {
-           sim().schedule(backoff, [this, req = std::move(req), attempt,
-                                    deadline, parent, wait,
-                                    cb = std::move(cb)]() mutable {
-             tracer().end(wait, now());
-             set_trace_context(parent);
-             do_write_full(std::move(req), attempt + 1, deadline,
-                           std::move(cb));
-           });
-         });
-       },
+        std::optional<StatusCode> answered;
+        if (st.ok()) {
+          auto rep = Reply::decode(body);
+          // kUnavailable (node not ready), kFailure (quorum broken, often
+          // stale routing at the coordinator while recovery is in flight)
+          // and kOverloaded (explicit shed) are retryable. A write's
+          // timestamp is pinned at the first attempt, so a replayed write
+          // is idempotent under LWW; a causal replay re-sends the same
+          // context, and the coordinator mints a fresh dot, but the earlier
+          // attempt's ack never reached the client, so the client's next
+          // contextual put prunes the extra sibling.
+          if (rep.ok() && rep->status != StatusCode::kUnavailable &&
+              rep->status != StatusCode::kFailure &&
+              rep->status != StatusCode::kOverloaded) {
+            if constexpr (kWrite) {
+              writes_->add(1);
+            } else {
+              reads_->add(1);
+              if (rep->stale) {
+                metrics_.counter("client.stale_reads").add(1);
+                // The coordinator's staleness bound rides the reply when
+                // auditing is on; a stale read *without* one is exactly
+                // the unlabeled-staleness hole the auditor exists to
+                // close, so count the two cases apart.
+                if (rep->staleness_us > 0) {
+                  metrics_.histogram("client.staleness_bound_us")
+                      .record(rep->staleness_us);
+                } else {
+                  metrics_.counter("client.stale_unbounded").add(1);
+                }
+              }
+            }
+            refill_retry_budget();
+            end_span(span, to_string(rep->status));
+            cb(std::move(rep));
+            return;
+          }
+          if (rep.ok()) answered = rep->status;
+        }
+        if (n + 1 >= config_.max_attempts) {
+          metrics_.counter(failures).add(1);
+          end_span(span, "failure");
+          cb(answered ? Status(*answered)
+                      : Status::Failure(kWrite ? "write attempts exhausted"
+                                               : "read attempts exhausted"));
+          return;
+        }
+        if (!spend_retry_token()) {
+          metrics_.counter(failures).add(1);
+          end_span(span, "overloaded");
+          cb(Status::Overloaded("retry budget exhausted"));
+          return;
+        }
+        // Refresh routing state, wait out the jittered backoff, then
+        // retry via the next replica.
+        metrics_
+            .counter(kWrite ? "client.write_retries" : "client.read_retries")
+            .add(1);
+        end_span(span, st.ok() ? "retry" : "timeout");
+        const SimDuration backoff = retry_backoff(n + 1);
+        // The metadata re-sync + backoff sleep before the next attempt is
+        // real client-visible latency: span it as retry time.
+        const SpanId wait = tracer().begin(parent, "client.retry_wait", id(),
+                                           now(), TraceStage::kRetry);
+        metadata_.sync_now([this, req = std::move(req), n, deadline, parent,
+                            backoff, wait, cb = std::move(cb)]() mutable {
+          sim().schedule(backoff, [this, req = std::move(req), n, deadline,
+                                   parent, wait,
+                                   cb = std::move(cb)]() mutable {
+            tracer().end(wait, now());
+            set_trace_context(parent);
+            attempt(std::move(req), n + 1, deadline, std::move(cb));
+          });
+        });
+      },
       deadline);
   set_trace_context(parent);
 }
 
-void SednaClient::do_read(ReadRequest req, int attempt, SimTime deadline,
-                          std::function<void(const Result<ReadReply>&)> cb) {
-  const NodeId coordinator = coordinator_for(req.key, attempt);
-  if (coordinator == kInvalidNode) {
-    cb(Status::Unavailable("no replicas for key"));
-    return;
-  }
-  if (deadline != 0 && now() >= deadline) {
-    metrics_.counter("client.read_failures").add(1);
-    cb(Status::Timeout("op deadline exceeded"));
-    return;
-  }
-  const SpanId span = begin_span(
-      "client.read.attempt#" + std::to_string(attempt), TraceStage::kService);
-  const TraceContext parent = enter_span(span);
-  std::string payload = req.encode();
-  call_with_timeout(
-      coordinator, kMsgClientRead, std::move(payload),
-      attempt_timeout(deadline),
-      [this, req = std::move(req), attempt, deadline, span, parent,
-       cb = std::move(cb)](const Status& st,
-                           const std::string& body) mutable {
-         Status final = Status::Failure("read attempts exhausted");
-         if (st.ok()) {
-           auto rep = ReadReply::decode(body);
-           if (rep.ok() && rep->status != StatusCode::kUnavailable &&
-               rep->status != StatusCode::kFailure &&
-               rep->status != StatusCode::kOverloaded) {
-             reads_->add(1);
-             if (rep->stale) {
-               metrics_.counter("client.stale_reads").add(1);
-               // The coordinator's staleness bound rides the reply when
-               // auditing is on; a stale read *without* one is exactly the
-               // unlabeled-staleness hole the auditor exists to close, so
-               // count the two cases apart.
-               if (rep->staleness_us > 0) {
-                 metrics_.histogram("client.staleness_bound_us")
-                     .record(rep->staleness_us);
-               } else {
-                 metrics_.counter("client.stale_unbounded").add(1);
-               }
-             }
-             refill_retry_budget();
-             end_span(span, std::string(to_string(rep->status)));
-             cb(std::move(rep));
-             return;
-           }
-           if (rep.ok()) final = Status(rep->status);
-         }
-         if (attempt + 1 >= config_.max_attempts) {
-           metrics_.counter("client.read_failures").add(1);
-           end_span(span, "failure");
-           cb(final);
-           return;
-         }
-         if (!spend_retry_token()) {
-           metrics_.counter("client.read_failures").add(1);
-           end_span(span, "overloaded");
-           cb(Status::Overloaded("retry budget exhausted"));
-           return;
-         }
-         metrics_.counter("client.read_retries").add(1);
-         end_span(span, st.ok() ? "retry" : "timeout");
-         const SimDuration backoff = retry_backoff(attempt + 1);
-         const SpanId wait = tracer().begin(parent, "client.retry_wait", id(),
-                                            now(), TraceStage::kRetry);
-         metadata_.sync_now([this, req = std::move(req), attempt, deadline,
-                             parent, backoff, wait,
-                             cb = std::move(cb)]() mutable {
-           sim().schedule(backoff, [this, req = std::move(req), attempt,
-                                    deadline, parent, wait,
-                                    cb = std::move(cb)]() mutable {
-             tracer().end(wait, now());
-             set_trace_context(parent);
-             do_read(std::move(req), attempt + 1, deadline, std::move(cb));
-           });
-         });
-       },
-      deadline);
-  set_trace_context(parent);
+WriteRequest SednaClient::new_write(WriteMode mode, const std::string& key,
+                                    const std::string& value) {
+  WriteRequest req;
+  req.mode = mode;
+  req.key = key;
+  req.value = value;
+  req.ts = next_ts();
+  req.source = id();
+  return req;
+}
+
+void SednaClient::write(std::string_view op, WriteRequest req,
+                        WriteCallback cb) {
+  run(op, std::move(req),
+      [cb = std::move(cb)](const Result<WriteReply>& rep) {
+        cb(rep.ok() ? Status(rep->status) : rep.status());
+      });
 }
 
 void SednaClient::put_causal(const std::string& key, const std::string& value,
                              const store::VersionVector& ctx,
                              PutCausalCallback cb) {
-  WriteRequest req;
-  req.mode = WriteMode::kLatest;
-  req.key = key;
-  req.value = value;
-  req.ts = next_ts();
-  req.source = id();
+  WriteRequest req = new_write(WriteMode::kLatest, key, value);
   req.causal_tag = WriteRequest::kCausalCtx;
   req.ctx = ctx;
-  const TraceContext root =
-      begin_trace("client.put_causal", TraceStage::kService);
-  const SimTime started = now();
-  do_write_full(
-      std::move(req), 0, op_deadline(),
-      [this, root, started, cb = std::move(cb)](const Result<WriteReply>& rep) {
-        write_latency_->record(now() - started, root.trace_id);
-        const StatusCode code = rep.ok() ? rep->status : rep.status().code();
-        end_span(root.span_id, std::string(to_string(code)));
+  run("client.put_causal", std::move(req),
+      [cb = std::move(cb)](const Result<WriteReply>& rep) {
         if (!rep.ok()) {
           cb(rep.status(), {});
           return;
@@ -334,38 +287,28 @@ void SednaClient::put_causal(const std::string& key, const std::string& value,
 
 void SednaClient::get_causal(const std::string& key, GetCausalCallback cb) {
   ReadRequest req;
-  req.mode = ReadMode::kLatest;
   req.key = key;
   req.causal = true;
-  const TraceContext root =
-      begin_trace("client.get_causal", TraceStage::kService);
-  const SimTime started = now();
-  do_read(std::move(req), 0, op_deadline(),
-          [this, root, started,
-           cb = std::move(cb)](const Result<ReadReply>& rep) {
-            read_latency_->record(now() - started, root.trace_id);
-            end_span(root.span_id,
-                     std::string(to_string(rep.ok() ? rep->status
-                                                    : rep.status().code())));
-            if (!rep.ok()) {
-              cb(rep.status());
-              return;
-            }
-            if (rep->status != StatusCode::kOk || !rep->has_causal) {
-              cb(Status(rep->status == StatusCode::kOk
-                            ? StatusCode::kNotFound
-                            : rep->status));
-              return;
-            }
-            CausalRead out;
-            out.siblings = rep->causal.siblings;
-            out.ctx = rep->causal.clock;
-            out.stale = rep->stale;
-            if (out.siblings.size() > 1) {
-              metrics_.counter("client.sibling_reads").add(1);
-            }
-            cb(out);
-          });
+  run("client.get_causal", std::move(req),
+      [this, cb = std::move(cb)](const Result<ReadReply>& rep) {
+        if (!rep.ok()) {
+          cb(rep.status());
+          return;
+        }
+        if (rep->status != StatusCode::kOk || !rep->has_causal) {
+          cb(Status(rep->status == StatusCode::kOk ? StatusCode::kNotFound
+                                                   : rep->status));
+          return;
+        }
+        CausalRead out;
+        out.siblings = rep->causal.siblings;
+        out.ctx = rep->causal.clock;
+        out.stale = rep->stale;
+        if (out.siblings.size() > 1) {
+          metrics_.counter("client.sibling_reads").add(1);
+        }
+        cb(out);
+      });
 }
 
 store::Sibling SednaClient::resolve(const CausalRead& read) {
@@ -386,28 +329,16 @@ store::Sibling SednaClient::resolve(const CausalRead& read) {
 
 void SednaClient::write_latest(const std::string& key,
                                const std::string& value, WriteCallback cb) {
-  WriteRequest req;
-  req.mode = WriteMode::kLatest;
-  req.key = key;
-  req.value = value;
-  req.ts = next_ts();
-  req.source = id();
-  do_write(std::move(req), 0, op_deadline(),
-           traced_write("client.write_latest", std::move(cb)));
+  write("client.write_latest", new_write(WriteMode::kLatest, key, value),
+        std::move(cb));
 }
 
 void SednaClient::write_latest_ttl(const std::string& key,
                                    const std::string& value,
                                    std::uint64_t ttl_us, WriteCallback cb) {
-  WriteRequest req;
-  req.mode = WriteMode::kLatest;
-  req.key = key;
-  req.value = value;
-  req.ts = next_ts();
-  req.source = id();
+  WriteRequest req = new_write(WriteMode::kLatest, key, value);
   req.ttl = ttl_us;
-  do_write(std::move(req), 0, op_deadline(),
-           traced_write("client.write_latest_ttl", std::move(cb)));
+  write("client.write_latest_ttl", std::move(req), std::move(cb));
 }
 
 void SednaClient::scan(const std::string& prefix, ScanCallback cb,
@@ -455,14 +386,8 @@ void SednaClient::scan(const std::string& prefix, ScanCallback cb,
 
 void SednaClient::write_all(const std::string& key, const std::string& value,
                             WriteCallback cb) {
-  WriteRequest req;
-  req.mode = WriteMode::kAll;
-  req.key = key;
-  req.value = value;
-  req.ts = next_ts();
-  req.source = id();
-  do_write(std::move(req), 0, op_deadline(),
-           traced_write("client.write_all", std::move(cb)));
+  write("client.write_all", new_write(WriteMode::kAll, key, value),
+        std::move(cb));
 }
 
 void SednaClient::write_latest_batch(
@@ -507,57 +432,38 @@ void SednaClient::read_latest_batch(const std::vector<std::string>& keys,
 
 void SednaClient::read_latest(const std::string& key, ReadLatestCallback cb) {
   ReadRequest req;
-  req.mode = ReadMode::kLatest;
   req.key = key;
-  const TraceContext root =
-      begin_trace("client.read_latest", TraceStage::kService);
-  const SimTime started = now();
-  do_read(std::move(req), 0, op_deadline(),
-          [this, root, started,
-           cb = std::move(cb)](const Result<ReadReply>& rep) {
-            read_latency_->record(now() - started, root.trace_id);
-            end_span(root.span_id,
-                     std::string(to_string(rep.ok() ? rep->status
-                                                    : rep.status().code())));
-            if (!rep.ok()) {
-              cb(rep.status());
-              return;
-            }
-            if (rep->status != StatusCode::kOk || !rep->has_latest) {
-              cb(Status(rep->status == StatusCode::kOk
-                            ? StatusCode::kNotFound
-                            : rep->status));
-              return;
-            }
-            cb(rep->latest);
-          });
+  run("client.read_latest", std::move(req),
+      [cb = std::move(cb)](const Result<ReadReply>& rep) {
+        if (!rep.ok()) {
+          cb(rep.status());
+          return;
+        }
+        if (rep->status != StatusCode::kOk || !rep->has_latest) {
+          cb(Status(rep->status == StatusCode::kOk ? StatusCode::kNotFound
+                                                   : rep->status));
+          return;
+        }
+        cb(rep->latest);
+      });
 }
 
 void SednaClient::read_all(const std::string& key, ReadAllCallback cb) {
   ReadRequest req;
   req.mode = ReadMode::kAll;
   req.key = key;
-  const TraceContext root =
-      begin_trace("client.read_all", TraceStage::kService);
-  const SimTime started = now();
-  do_read(std::move(req), 0, op_deadline(),
-          [this, root, started,
-           cb = std::move(cb)](const Result<ReadReply>& rep) {
-            read_latency_->record(now() - started, root.trace_id);
-            end_span(root.span_id,
-                     std::string(to_string(rep.ok() ? rep->status
-                                                    : rep.status().code())));
-            if (!rep.ok()) {
-              cb(rep.status());
-              return;
-            }
-            if (rep->status != StatusCode::kOk &&
-                rep->value_list.empty()) {
-              cb(Status(rep->status));
-              return;
-            }
-            cb(rep->value_list);
-          });
+  run("client.read_all", std::move(req),
+      [cb = std::move(cb)](const Result<ReadReply>& rep) {
+        if (!rep.ok()) {
+          cb(rep.status());
+          return;
+        }
+        if (rep->status != StatusCode::kOk && rep->value_list.empty()) {
+          cb(Status(rep->status));
+          return;
+        }
+        cb(rep->value_list);
+      });
 }
 
 }  // namespace sedna::cluster

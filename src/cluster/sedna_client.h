@@ -16,6 +16,7 @@
 #include <algorithm>
 #include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cluster/metadata.h"
@@ -170,18 +171,27 @@ class SednaClient : public sim::Host {
       sim::MessageType type) const override;
 
  private:
-  /// Opens a root span for one public write op and returns a callback
-  /// wrapper that closes it with the op's final status code.
-  [[nodiscard]] WriteCallback traced_write(const char* op, WriteCallback cb);
+  template <class Request>
+  using ReplyCallback = std::function<void(const Result<ReplyOf<Request>>&)>;
 
-  void do_write(WriteRequest req, int attempt, SimTime deadline,
-                WriteCallback cb);
-  /// Full-reply variant of do_write (same retry machinery): causal puts
-  /// need the trailing context section, not just the status.
-  void do_write_full(WriteRequest req, int attempt, SimTime deadline,
-                     std::function<void(const Result<WriteReply>&)> cb);
-  void do_read(ReadRequest req, int attempt, SimTime deadline,
-               std::function<void(const Result<ReadReply>&)> cb);
+  /// One public op: a root span named `op` around the attempts, closed
+  /// with the op's final status, plus the op's latency; `done` gets the
+  /// coordinator's final reply.
+  template <class Request, class Done>
+  void run(std::string_view op, Request req, Done done);
+  /// Attempt `n` of an op, via the key's n-th replica as coordinator.
+  /// Retryable outcomes re-sync the metadata, back off and try the next
+  /// attempt, within the attempt cap, the op deadline and the retry
+  /// budget.
+  template <class Request>
+  void attempt(Request req, int n, SimTime deadline,
+               ReplyCallback<Request> cb);
+  /// A write request stamped with a fresh timestamp and this client as
+  /// source.
+  [[nodiscard]] WriteRequest new_write(WriteMode mode, const std::string& key,
+                                       const std::string& value);
+  /// run() for a write whose caller wants only the status.
+  void write(std::string_view op, WriteRequest req, WriteCallback cb);
 
   /// Absolute deadline for an op starting now (0 when deadlines are off).
   [[nodiscard]] SimTime op_deadline() const {

@@ -203,9 +203,7 @@ SednaClient& SednaCluster::make_client() {
   clients_.push_back(
       std::make_unique<SednaClient>(net_, next_client_id_++, cfg));
   SednaClient& client = *clients_.back();
-  std::optional<Status> ready;
-  client.start([&](const Status& st) { ready = st; });
-  run_until([&] { return ready.has_value(); });
+  await<Status>([&](auto done) { client.start(done); });
   return client;
 }
 
@@ -233,46 +231,29 @@ Result<NodeId> SednaCluster::join_new_node() {
 
 void SednaCluster::restart_node(std::size_t i) {
   nodes_[i]->restart();
-  std::optional<Status> done;
-  nodes_[i]->start([&](const Status& st) { done = st; });
-  run_until([&] { return done.has_value(); });
+  await<Status>([&](auto done) { nodes_[i]->start(done); });
 }
 
 Status SednaCluster::write_latest(SednaClient& c, const std::string& key,
                                   const std::string& value) {
-  std::optional<Status> out;
-  c.write_latest(key, value, [&](const Status& st) { out = st; });
-  run_until([&] { return out.has_value(); });
-  return out.value_or(Status::Timeout());
+  return await<Status>([&](auto done) { c.write_latest(key, value, done); });
 }
 
 Status SednaCluster::write_all(SednaClient& c, const std::string& key,
                                const std::string& value) {
-  std::optional<Status> out;
-  c.write_all(key, value, [&](const Status& st) { out = st; });
-  run_until([&] { return out.has_value(); });
-  return out.value_or(Status::Timeout());
+  return await<Status>([&](auto done) { c.write_all(key, value, done); });
 }
 
 Result<store::VersionedValue> SednaCluster::read_latest(
     SednaClient& c, const std::string& key) {
-  std::optional<Result<store::VersionedValue>> out;
-  c.read_latest(key, [&](const Result<store::VersionedValue>& r) { out = r; });
-  run_until([&] { return out.has_value(); });
-  if (!out.has_value()) return Status::Timeout();
-  return *out;
+  return await<Result<store::VersionedValue>>(
+      [&](auto done) { c.read_latest(key, done); });
 }
 
 Result<std::vector<store::SourceValue>> SednaCluster::read_all(
     SednaClient& c, const std::string& key) {
-  std::optional<Result<std::vector<store::SourceValue>>> out;
-  c.read_all(key,
-             [&](const Result<std::vector<store::SourceValue>>& r) {
-               out = r;
-             });
-  run_until([&] { return out.has_value(); });
-  if (!out.has_value()) return Status::Timeout();
-  return *out;
+  return await<Result<std::vector<store::SourceValue>>>(
+      [&](auto done) { c.read_all(key, done); });
 }
 
 }  // namespace sedna::cluster

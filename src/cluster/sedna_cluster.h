@@ -111,6 +111,17 @@ class SednaCluster {
                                                    const std::string& key);
 
  private:
+  /// Starts an async op with `op(done)` and runs the simulation until
+  /// `done` fires; an op that never answers reads as kTimeout.
+  template <class T, class Op>
+  T await(Op op) {
+    std::optional<T> out;
+    op([&out](const T& r) { out = r; });
+    run_until([&out] { return out.has_value(); });
+    if (!out.has_value()) return Status::Timeout();
+    return *out;
+  }
+
   /// Creates the /sedna layout + per-vnode znodes via a bootstrap host.
   Status bootstrap_metadata();
 

@@ -5,6 +5,7 @@
 #include <map>
 #include <memory>
 
+#include "cluster/quorum_call.h"
 #include "common/logging.h"
 #include "ring/rebalancer.h"
 
@@ -74,14 +75,6 @@ struct TransferWindow {
   std::function<void()> all_done;
 };
 
-/// Replica RPC timeout of a client op's fan-out: never past the client's
-/// deadline, since waiting longer can only produce an answer nobody wants.
-SimDuration fanout_timeout(SimDuration rpc_timeout, SimTime deadline,
-                           SimTime now) {
-  if (deadline == 0 || deadline <= now) return rpc_timeout;
-  return std::min<SimDuration>(rpc_timeout, deadline - now);
-}
-
 /// Node ids of the "node-<id>" children of the ephemeral live registry.
 std::vector<NodeId> live_nodes(const std::vector<std::string>& kids) {
   std::vector<NodeId> live;
@@ -95,9 +88,15 @@ std::vector<NodeId> live_nodes(const std::vector<std::string>& kids) {
 
 // ---- Write builders: the replica writes that recreate stored state. -----
 
-/// `expires_at` (absolute, 0 = never) rides as the lifetime left at
-/// `now`, so the copy keeps the original deadline; a deadline already
-/// passed still expires the copy at once.
+/// The relative TTL that carries an absolute expiry `expires_at` (0 =
+/// never) in a copy sent at `now`: the lifetime left, so the copy keeps
+/// the original deadline; a deadline already passed still expires the
+/// copy at once.
+std::uint64_t ttl_left(std::uint64_t expires_at, SimTime now) {
+  if (expires_at == 0) return 0;
+  return expires_at > now ? expires_at - now : 1;
+}
+
 WriteRequest latest_write(const std::string& key,
                           const store::VersionedValue& v,
                           std::uint64_t expires_at, SimTime now) {
@@ -106,7 +105,7 @@ WriteRequest latest_write(const std::string& key,
   w.value = v.value;
   w.ts = v.ts;  // pinned: replay is idempotent
   w.flags = v.flags;
-  if (expires_at != 0) w.ttl = expires_at > now ? expires_at - now : 1;
+  w.ttl = ttl_left(expires_at, now);
   return w;
 }
 
@@ -127,6 +126,14 @@ WriteRequest causal_write(const std::string& key,
   w.causal_tag = WriteRequest::kCausalRecord;
   w.record = record;
   return w;
+}
+
+/// The replica write that copies a read reply's positive answer: its
+/// causal record if it carries one, else its latest value.
+WriteRequest copy_write(const std::string& key, const ReadReply& rep,
+                        SimTime now) {
+  return rep.has_causal ? causal_write(key, rep.causal)
+                        : latest_write(key, rep.latest, rep.expires_at, now);
 }
 
 /// A causal item is its record (the receiver rebuilds the LWW mirror from
@@ -475,45 +482,39 @@ void SednaNode::probe_visibility(const std::string& key, Timestamp wts,
           ReadRequest probe;
           probe.mode = ReadMode::kLatest;
           probe.key = key;
-          const std::string payload = probe.encode();
-          for (NodeId replica : *replicas) {
-            if (replica == id()) {
-              // Visibility means "this write or something newer": under
-              // LWW a later overwrite legitimately shadows the probed
-              // timestamp.
-              const ReadReply rep = local_read(probe);
-              const bool visible = rep.has_latest && rep.latest.ts >= wts;
-              auditor_->on_probe_check(i, true, visible);
-              if (final_offset && !visible) {
-                record_visibility_violation(acked_at, key, replica);
-              }
-              continue;
+          // Visibility means "this write or something newer": under LWW a
+          // later overwrite legitimately shadows the probed timestamp. A
+          // probe that timed out or was shed is abandonment, not evidence.
+          auto check = [this, i, final_offset, wts, acked_at, key](
+                           NodeId replica, const ReadReply* rep) {
+            if (auditor_ == nullptr) return;
+            if (rep == nullptr) {
+              auditor_->on_probe_check(i, false, false);
+              return;
             }
-            call_with_timeout(
-                replica, kMsgReplicaRead, payload,
-                config_.audit.probe_timeout,
-                [this, i, final_offset, wts, acked_at, key, replica](
-                    const Status& st, const std::string& body) {
-                  if (auditor_ == nullptr) return;
-                  if (!st.ok()) {
-                    auditor_->on_probe_check(i, false, false);
-                    return;
-                  }
-                  auto rep = ReadReply::decode(body);
-                  if (!rep.ok() ||
-                      rep->status == StatusCode::kOverloaded) {
-                    // Shed probes are abandonment, not evidence.
-                    auditor_->on_probe_check(i, false, false);
-                    return;
-                  }
-                  const bool visible =
-                      rep->has_latest && rep->latest.ts >= wts;
-                  auditor_->on_probe_check(i, true, visible);
-                  if (final_offset && !visible) {
-                    record_visibility_violation(acked_at, key, replica);
-                  }
-                });
-          }
+            const bool visible = rep->has_latest && rep->latest.ts >= wts;
+            auditor_->on_probe_check(i, true, visible);
+            if (final_offset && !visible) {
+              record_visibility_violation(acked_at, key, replica);
+            }
+          };
+          fan_out(
+              *this, *replicas, kMsgReplicaRead, probe.encode(),
+              config_.audit.probe_timeout, 0,
+              [&] {
+                const ReadReply rep = local_read(probe);
+                check(id(), &rep);
+              },
+              [&](NodeId replica) {
+                return [check, replica](const Status& st,
+                                        const std::string& body) {
+                  auto rep = st.ok() ? ReadReply::decode(body)
+                                     : Result<ReadReply>(st);
+                  const bool answered =
+                      rep.ok() && rep->status != StatusCode::kOverloaded;
+                  check(replica, answered ? &*rep : nullptr);
+                };
+              });
         });
   }
 }
@@ -649,19 +650,13 @@ void SednaNode::on_shed(const sim::Message& msg, sim::ShedReason reason) {
   instant_span("node.shed", "overloaded", TraceStage::kQueue);
   switch (msg.type) {
     case kMsgClientWrite:
-    case kMsgReplicaWrite: {
-      WriteReply rep;
-      rep.status = StatusCode::kOverloaded;
-      reply(msg, rep.encode());
+    case kMsgReplicaWrite:
+      refuse<WriteReply>(msg, StatusCode::kOverloaded);
       break;
-    }
     case kMsgClientRead:
-    case kMsgReplicaRead: {
-      ReadReply rep;
-      rep.status = StatusCode::kOverloaded;
-      reply(msg, rep.encode());
+    case kMsgReplicaRead:
+      refuse<ReadReply>(msg, StatusCode::kOverloaded);
       break;
-    }
     default:
       break;  // background daemons retry on their own cadence
   }
@@ -721,13 +716,9 @@ void SednaNode::hydrate_after_restart(std::function<void()> done) {
 
 StatusCode SednaNode::apply_write(const WriteRequest& req) {
   // Per-vnode write frequency + rough capacity delta (paper III.B).
-  if (metadata_.ready()) {
-    const VnodeId v = metadata_.table().vnode_for_key(req.key);
-    if (vnode_status_.size() < metadata_.table().total_vnodes()) {
-      vnode_status_.resize(metadata_.table().total_vnodes());
-    }
-    ++vnode_status_[v].writes;
-    vnode_status_[v].capacity_bytes += req.key.size() + req.value.size();
+  if (ring::VnodeStatus* traffic = vnode_traffic(req.key)) {
+    ++traffic->writes;
+    traffic->capacity_bytes += req.key.size() + req.value.size();
   }
   // A failed log append fails the write: the replica must not ack what
   // it could not log.
@@ -773,15 +764,18 @@ bool SednaNode::apply_copy(const WriteRequest& w) {
   return join_causal(w.key, w.record, &changed).ok() && changed;
 }
 
-ReadReply SednaNode::local_read(const ReadRequest& req) {
-  VnodeId v = kInvalidVnode;
-  if (metadata_.ready()) {
-    v = metadata_.table().vnode_for_key(req.key);
-    if (vnode_status_.size() < metadata_.table().total_vnodes()) {
-      vnode_status_.resize(metadata_.table().total_vnodes());
-    }
-    ++vnode_status_[v].reads;
+ring::VnodeStatus* SednaNode::vnode_traffic(const std::string& key) {
+  if (!metadata_.ready()) return nullptr;
+  const auto& table = metadata_.table();
+  if (vnode_status_.size() < table.total_vnodes()) {
+    vnode_status_.resize(table.total_vnodes());
   }
+  return &vnode_status_[table.vnode_for_key(key)];
+}
+
+ReadReply SednaNode::local_read(const ReadRequest& req) {
+  ring::VnodeStatus* traffic = vnode_traffic(req.key);
+  if (traffic != nullptr) ++traffic->reads;
   ReadReply rep;
   if (req.causal) {
     auto got = store_->read_causal(req.key);
@@ -807,9 +801,7 @@ ReadReply SednaNode::local_read(const ReadRequest& req) {
       rep.status = got.status().code();
     }
   }
-  if (v != kInvalidVnode && rep.status != StatusCode::kOk) {
-    ++vnode_status_[v].misses;
-  }
+  if (traffic != nullptr && rep.status != StatusCode::kOk) ++traffic->misses;
   return rep;
 }
 
@@ -822,7 +814,7 @@ void SednaNode::handle_replica_write(const sim::Message& msg) {
     rep.status = apply_write(*req);
     replica_writes_->add(1);
   }
-  instant_span("replica.write", std::string(to_string(rep.status)),
+  instant_span("replica.write", to_string(rep.status),
                TraceStage::kService);
   reply(msg, rep.encode());
 }
@@ -830,14 +822,12 @@ void SednaNode::handle_replica_write(const sim::Message& msg) {
 void SednaNode::handle_replica_read(const sim::Message& msg) {
   auto req = ReadRequest::decode(msg.payload);
   if (!req.ok()) {
-    ReadReply rep;
-    rep.status = StatusCode::kInvalidArgument;
-    reply(msg, rep.encode());
+    refuse<ReadReply>(msg, StatusCode::kInvalidArgument);
     return;
   }
   replica_reads_->add(1);
   ReadReply rep = local_read(*req);
-  instant_span("replica.read", std::string(to_string(rep.status)),
+  instant_span("replica.read", to_string(rep.status),
                TraceStage::kService);
   reply(msg, rep.encode());
 }
@@ -845,10 +835,8 @@ void SednaNode::handle_replica_read(const sim::Message& msg) {
 void SednaNode::handle_client_write(const sim::Message& msg) {
   auto decoded = WriteRequest::decode(msg.payload);
   if (!decoded.ok() || !ready_) {
-    WriteReply rep;
-    rep.status = decoded.ok() ? StatusCode::kUnavailable
-                              : StatusCode::kInvalidArgument;
-    reply(msg, rep.encode());
+    refuse<WriteReply>(msg, decoded.ok() ? StatusCode::kUnavailable
+                                         : StatusCode::kInvalidArgument);
     return;
   }
   WriteRequest req = std::move(decoded).value();
@@ -859,491 +847,56 @@ void SednaNode::handle_client_write(const sim::Message& msg) {
   // the siblings covered by the client's read context and appending the
   // new value — then fans out the full post-update record, so replicas
   // join states instead of racing on timestamps. The local apply in the
-  // fan-out loop below sees the rewritten record and is an idempotent
-  // no-op join that still counts as this replica's ack.
+  // fan-out sees the rewritten record and is an idempotent no-op join
+  // that still counts as this replica's ack.
   const bool causal_put = req.causal_tag == WriteRequest::kCausalCtx;
-  store::VersionVector causal_clock;
   if (causal_put) {
     auto minted = store_->write_causal(req.key, req.ctx, req.value, req.ts,
                                        req.flags, id());
     if (!minted.ok() ||
         (persistence_ != nullptr &&
          !persistence_->on_write_causal(req.key, minted.value()).ok())) {
-      WriteReply rep;
-      rep.status = StatusCode::kFailure;
-      reply(msg, rep.encode());
+      refuse<WriteReply>(msg, StatusCode::kFailure);
       return;
     }
-    causal_clock = minted.value().clock;
     req.causal_tag = WriteRequest::kCausalRecord;
     req.record = std::move(minted).value();
     req.ctx = {};
   }
-
-  const VnodeId vnode = metadata_.table().vnode_for_key(req.key);
-  const auto replicas = metadata_.table().replicas_for_vnode(vnode);
-  const auto cfg = metadata_.config();
-  coordinator_writes_->add(1);
-  hot_keys_.record(req.key);
-  const SimTime started = now();
-  const TraceId trace = trace_context().trace_id;
-  const SpanId coord_span = begin_span("coord.write", TraceStage::kService);
-  const TraceContext prev_ctx = enter_span(coord_span);
-
-  // The request and its reply address live once, in the shared state:
-  // the settle closure is copied into every fan-out callback.
-  struct WriteState {
-    sim::Message origin;
-    WriteRequest req;
-    std::uint32_t acks = 0;
-    std::uint32_t outdated = 0;
-    std::uint32_t failures = 0;
-    std::uint32_t responses = 0;
-    bool replied = false;
-  };
-  auto state = std::make_shared<WriteState>();
-  state->origin = msg.header();
-  state->req = std::move(req);
-  const sim::Message& origin = state->origin;
-  const auto total = static_cast<std::uint32_t>(replicas.size());
-
-  auto settle = [this, state, cfg, total, started, vnode, trace, coord_span,
-                 causal_put, causal_clock]() {
-    if (state->replied) return;
-    const std::string& key = state->req.key;
-    const Timestamp wts = state->req.ts;
-    WriteReply rep;
-    if (state->acks >= cfg.write_quorum) {
-      rep.status = StatusCode::kOk;
-      if (causal_put) {
-        // Hand the post-write clock back as the client's next context.
-        rep.has_ctx = true;
-        rep.ctx = causal_clock;
-      }
-      // t-visibility probe (PBS-style): sample acked LWW writes and check
-      // back on every replica at fixed offsets to measure how quickly an
-      // acknowledged write becomes readable cluster-wide. Causal puts are
-      // excluded — their convergence is vector-clock joins, not a single
-      // timestamp, so "ts >= wts" is not the right visibility predicate.
-      if (auditor_ != nullptr && !causal_put && auditor_->should_probe()) {
-        probe_visibility(key, wts, vnode, now());
-      }
-    } else if (state->responses < total) {
-      return;  // still waiting and quorum still possible
-    } else if (state->outdated > 0) {
-      rep.status = StatusCode::kOutdated;
-    } else {
-      rep.status = StatusCode::kFailure;  // recovery already triggered
-      metrics_.counter("coordinator.write_quorum_failures").add(1);
-    }
-    state->replied = true;
-    write_latency_->record(now() - started, trace);
-    end_span(coord_span, std::string(to_string(rep.status)));
-    reply(state->origin, rep.encode());
-  };
-
-  // Deadline-aware fan-out. A timeout that fired early *because* of the
-  // deadline is abandonment, not failure evidence, so it must not feed the
-  // failure detector or queue hints (suspecting healthy nodes and
-  // replaying hints during overload would amplify the overload).
-  const SimDuration timeout =
-      fanout_timeout(config().rpc_timeout_us, origin.deadline, now());
-  const bool deadline_bounded = timeout < config().rpc_timeout_us;
-
-  const std::string payload = state->req.encode();
-  for (NodeId replica : replicas) {
-    if (replica == id()) {
-      const StatusCode st = apply_write(state->req);
-      instant_span("coord.local_write", std::string(to_string(st)),
-                   TraceStage::kService);
-      ++state->responses;
-      if (st == StatusCode::kOk) {
-        ++state->acks;
-      } else if (st == StatusCode::kOutdated) {
-        ++state->outdated;
-      } else {
-        ++state->failures;
-      }
-      settle();
-      continue;
-    }
-    call_with_timeout(
-        replica, kMsgReplicaWrite, payload, timeout,
-        [this, state, settle, replica, vnode, deadline_bounded](
-            const Status& st, const std::string& body) {
-          ++state->responses;
-          if (!st.ok()) {
-            ++state->failures;
-            if (!deadline_bounded) {
-              // The replica missed an acknowledged-at-W write: remember it
-              // and replay once the replica re-registers (hinted handoff).
-              queue_hint(replica, state->req);
-              suspect_node(replica, vnode);
-            }
-          } else {
-            auto rep = WriteReply::decode(body);
-            if (rep.ok() && rep->status == StatusCode::kOk) {
-              ++state->acks;
-            } else if (rep.ok() && rep->status == StatusCode::kOutdated) {
-              ++state->outdated;
-            } else {
-              ++state->failures;
-            }
-          }
-          settle();
-        },
-        origin.deadline);
-  }
-  set_trace_context(prev_ctx);
+  QuorumCall<WriteRequest>::start(*this, msg, std::move(req), causal_put);
 }
 
 void SednaNode::handle_client_read(const sim::Message& msg) {
   auto decoded = ReadRequest::decode(msg.payload);
   if (!decoded.ok() || !ready_) {
-    ReadReply rep;
-    rep.status = decoded.ok() ? StatusCode::kUnavailable
-                              : StatusCode::kInvalidArgument;
-    reply(msg, rep.encode());
+    refuse<ReadReply>(msg, decoded.ok() ? StatusCode::kUnavailable
+                                        : StatusCode::kInvalidArgument);
     return;
   }
-  ReadRequest req = std::move(decoded).value();
-  const VnodeId vnode = metadata_.table().vnode_for_key(req.key);
-  const auto replicas = metadata_.table().replicas_for_vnode(vnode);
-  const auto cfg = metadata_.config();
-  coordinator_reads_->add(1);
-  hot_keys_.record(req.key);
-  const SimTime started = now();
-  const TraceId trace = trace_context().trace_id;
-  const SpanId coord_span = begin_span("coord.read", TraceStage::kService);
-  const TraceContext prev_ctx = enter_span(coord_span);
-
-  // The request and its reply address live once, in the shared state:
-  // the settle closure is copied into every fan-out callback.
-  struct ReadState {
-    sim::Message origin;
-    ReadRequest req;
-    std::vector<std::pair<NodeId, ReadReply>> replies;
-    std::uint32_t responses = 0;
-    std::uint32_t failures = 0;
-    bool replied = false;
-    /// Value returned to the client (kLatest mode), for repairing
-    /// replicas whose replies arrive after the quorum settled.
-    bool has_answer = false;
-    store::VersionedValue answer;
-    std::uint64_t answer_expires_at = 0;
-    /// Joined record returned to the client (causal mode), for repairing
-    /// divergent replicas — including late arrivals.
-    bool has_causal_answer = false;
-    store::CausalRecord merged;
-    /// Consistency-auditor bookkeeping: whether the final audit sample
-    /// has been emitted, whether the reply went out stale-tagged, and
-    /// when the reply was sent (for the confirmation-lag measurement).
-    bool audited = false;
-    bool served_stale = false;
-    SimTime settled_at = 0;
-  };
-  auto state = std::make_shared<ReadState>();
-  state->origin = msg.header();
-  state->req = std::move(req);
-  const auto total = static_cast<std::uint32_t>(replicas.size());
-
-  auto settle = [this, state, cfg, total, started, trace, coord_span,
-                 vnode]() {
-    if (state->replied) return;
-    const sim::Message& origin = state->origin;
-    const ReadRequest& req = state->req;
-
-    if (req.causal) {
-      // Causal quorum read: R *positive* replies settle (the same
-      // positive-only rule as the LWW path — a fresh replica-set member
-      // legitimately lacks the key). The answer is the semilattice join
-      // of every record in hand: with R+W > N the R positives intersect
-      // every write quorum, so the join covers every acked write —
-      // concurrent writes surface as siblings instead of one silently
-      // shadowing the other.
-      std::uint32_t positives = 0;
-      for (const auto& [node, rep] : state->replies) {
-        if (rep.has_causal) ++positives;
-      }
-      if (positives < cfg.read_quorum && state->responses < total) return;
-      state->replied = true;
-      read_latency_->record(now() - started, trace);
-      ReadReply out;
-      store::CausalRecord merged;
-      for (const auto& [node, rep] : state->replies) {
-        if (rep.has_causal) merged.merge(rep.causal);
-      }
-      if (!merged.empty()) {
-        out.status = StatusCode::kOk;
-        out.has_causal = true;
-        out.causal = merged;
-        if (positives < cfg.read_quorum) {
-          out.stale = true;
-          if (auditor_ != nullptr) {
-            out.staleness_us = auditor_->on_stale_serve(vnode, now());
-          }
-        } else if (auditor_ != nullptr) {
-          auditor_->on_full_quorum(vnode, now());
-        }
-        state->has_causal_answer = true;
-        state->merged = merged;
-        // Repair replicas whose record is missing or diverged: push the
-        // join, which each replica folds in idempotently.
-        std::vector<NodeId> stale;
-        for (const auto& [node, rep] : state->replies) {
-          if (!rep.has_causal || !(rep.causal == merged)) {
-            stale.push_back(node);
-          }
-        }
-        if (!stale.empty()) read_repair(causal_write(req.key, merged), stale);
-      } else if (state->failures > 0) {
-        out.status = StatusCode::kFailure;
-      } else {
-        out.status = StatusCode::kNotFound;
-      }
-      end_span(coord_span, std::string(to_string(out.status)));
-      reply(origin, out.encode());
-      return;
-    }
-
-    if (req.mode == ReadMode::kLatest) {
-      // Read repair pushes `answer` to the replies with older or no data.
-      auto repair_behind = [this, &state, &req](const ReadReply& answer) {
-        std::vector<NodeId> stale;
-        for (const auto& [node, rep] : state->replies) {
-          if (!rep.has_latest || rep.latest.ts < answer.latest.ts) {
-            stale.push_back(node);
-          }
-        }
-        if (!stale.empty()) {
-          read_repair(latest_write(req.key, answer.latest, answer.expires_at,
-                                   now()),
-                      stale);
-        }
-      };
-      // Quorum rule (Section III.C): R replies carrying the *same
-      // timestamp* settle the read. Only *positive* replies may settle
-      // early — concluding "not found" from R misses while a replica that
-      // does hold the value has yet to answer would lose data during
-      // membership changes (a fresh replica-set member legitimately lacks
-      // the key until read repair backfills it).
-      for (const auto& [node, rep] : state->replies) {
-        if (!rep.has_latest) continue;
-        std::uint32_t agree = 0;
-        for (const auto& [other_node, other] : state->replies) {
-          if (other.has_latest && rep.latest.ts == other.latest.ts) ++agree;
-        }
-        if (agree >= cfg.read_quorum) {
-          state->replied = true;
-          state->has_answer = true;
-          state->answer = rep.latest;
-          state->answer_expires_at = rep.expires_at;
-          state->settled_at = now();
-          if (auditor_ != nullptr) auditor_->on_full_quorum(vnode, now());
-          read_latency_->record(now() - started, trace);
-          ReadReply out = rep;
-          out.status = StatusCode::kOk;
-          end_span(coord_span, "ok");
-          reply(origin, out.encode());
-          repair_behind(rep);
-          return;
-        }
-      }
-      // No R-sized agreeing set. Serve the freshest positive reply, tagged
-      // stale, once every replica has answered (eventual consistency; the
-      // rest are repaired) or, with degraded reads on, as soon as enough
-      // replicas have failed (timed out, shed, partitioned) that such a
-      // set is impossible: availability bought with labeled staleness
-      // instead of riding out every timeout (a Keyspace-style trade).
-      const ReadReply* freshest = nullptr;
-      for (const auto& [node, rep] : state->replies) {
-        if (rep.has_latest &&
-            (freshest == nullptr || rep.latest.ts > freshest->latest.ts)) {
-          freshest = &rep;
-        }
-      }
-      const bool degraded = freshest != nullptr && config_.degraded_reads &&
-                            state->failures + cfg.read_quorum > total;
-      if (!degraded && state->responses < total) return;  // keep waiting
-      state->replied = true;
-      read_latency_->record(now() - started, trace);
-      ReadReply out;
-      if (freshest != nullptr) {
-        out = *freshest;
-        out.status = StatusCode::kOk;
-        out.stale = true;
-        state->has_answer = true;
-        state->answer = freshest->latest;
-        state->answer_expires_at = freshest->expires_at;
-        state->served_stale = true;
-        state->settled_at = now();
-        // Bounded staleness: the served value is no older than the time
-        // since this vnode last confirmed a full read quorum.
-        if (auditor_ != nullptr) {
-          out.staleness_us = auditor_->on_stale_serve(vnode, now());
-        }
-        if (degraded) {
-          metrics_.counter("coordinator.degraded_reads").add(1);
-        } else {
-          repair_behind(out);
-        }
-      } else if (state->failures > 0) {
-        out.status = StatusCode::kFailure;
-      } else {
-        out.status = StatusCode::kNotFound;
-      }
-      end_span(coord_span, std::string(to_string(out.status)));
-      reply(origin, out.encode());
-      return;
-    }
-
-    // read_all: wait for R successful replies, then merge the value lists
-    // (newest timestamp wins per source).
-    std::uint32_t successes = 0;
-    for (const auto& [node, rep] : state->replies) {
-      if (rep.status == StatusCode::kOk || !rep.value_list.empty()) {
-        ++successes;
-      }
-    }
-    const bool exhausted = state->responses >= total;
-    if (successes < cfg.read_quorum && !exhausted) return;
-    state->replied = true;
-    read_latency_->record(now() - started, trace);
-    ReadReply out;
-    std::map<NodeId, store::SourceValue> merged;
-    for (const auto& [node, rep] : state->replies) {
-      for (const auto& sv : rep.value_list) {
-        auto [it, inserted] = merged.try_emplace(sv.source, sv);
-        if (!inserted && sv.ts > it->second.ts) it->second = sv;
-      }
-    }
-    for (auto& [source, sv] : merged) out.value_list.push_back(sv);
-    if (out.value_list.empty()) {
-      out.status = state->failures > 0 && successes == 0
-                       ? StatusCode::kFailure
-                       : StatusCode::kNotFound;
-    }
-    end_span(coord_span, std::string(to_string(out.status)));
-    reply(origin, out.encode());
-  };
-
-  // Staleness sample: once every replica has answered (call_with_timeout
-  // always fires, so responses always reaches total), compare the value
-  // the client was served against the freshest timestamp any replica
-  // reported. The gap — versions behind, and wall-clock µs behind — is a
-  // *measured* staleness observation, not a bound.
-  auto audit_finalize = [this, state, total, vnode]() {
-    if (auditor_ == nullptr || state->audited || state->responses < total ||
-        state->req.causal || state->req.mode != ReadMode::kLatest ||
-        !state->has_answer) {
-      return;
-    }
-    state->audited = true;
-    ReadAuditSample s;
-    s.vnode = vnode;
-    s.served_ts = state->answer.ts;
-    s.stale = state->served_stale;
-    s.confirm_lag_us =
-        now() > state->settled_at ? now() - state->settled_at : 0;
-    for (const auto& [node, rep] : state->replies) {
-      if (!rep.has_latest) continue;
-      ++s.positives;
-      if (s.positives == 1) {
-        s.freshest_ts = s.oldest_ts = rep.latest.ts;
-      } else {
-        s.freshest_ts = std::max(s.freshest_ts, rep.latest.ts);
-        s.oldest_ts = std::min(s.oldest_ts, rep.latest.ts);
-      }
-      if (rep.latest.ts > state->answer.ts) ++s.newer;
-    }
-    auditor_->on_read_final(s);
-  };
-
-  // Deadline-aware fan-out; see handle_client_write. Deadline-shortened
-  // timeouts are abandonment, not failure evidence.
-  const SimTime deadline = state->origin.deadline;
-  const SimDuration timeout =
-      fanout_timeout(config().rpc_timeout_us, deadline, now());
-  const bool deadline_bounded = timeout < config().rpc_timeout_us;
-
-  const std::string payload = state->req.encode();
-  for (NodeId replica : replicas) {
-    if (replica == id()) {
-      ReadReply rep = local_read(state->req);
-      instant_span("coord.local_read", std::string(to_string(rep.status)),
-                   TraceStage::kService);
-      state->replies.emplace_back(id(), std::move(rep));
-      ++state->responses;
-      settle();
-      audit_finalize();
-      continue;
-    }
-    call_with_timeout(
-        replica, kMsgReplicaRead, payload, timeout,
-        [this, state, settle, audit_finalize, replica, vnode,
-         deadline_bounded](const Status& st, const std::string& body) {
-          const std::string& key = state->req.key;
-          ++state->responses;
-          if (!st.ok()) {
-            ++state->failures;
-            if (!deadline_bounded) suspect_node(replica, vnode);
-          } else {
-            auto rep = ReadReply::decode(body);
-            if (rep.ok() && rep->status == StatusCode::kOverloaded) {
-              // An overloaded replica is alive but shedding: count it as
-              // failed for quorum purposes, but do not suspect it and do
-              // not read-repair it (pushing writes at a node that just
-              // shed a read would deepen the overload).
-              ++state->failures;
-            } else if (rep.ok()) {
-              // Replies arriving after the quorum already settled still
-              // feed read repair: a replica that is behind (or brand
-              // new, after a membership change) gets the answer pushed.
-              if (state->replied && state->has_answer &&
-                  (!rep->has_latest ||
-                   rep->latest.ts < state->answer.ts)) {
-                read_repair(latest_write(key, state->answer,
-                                         state->answer_expires_at, now()),
-                            {replica});
-              }
-              if (state->replied && state->has_causal_answer &&
-                  (!rep->has_causal ||
-                   !(rep->causal == state->merged))) {
-                read_repair(causal_write(key, state->merged), {replica});
-              }
-              state->replies.emplace_back(replica, std::move(rep).value());
-            } else {
-              ++state->failures;
-            }
-          }
-          settle();
-          audit_finalize();
-        },
-        deadline);
-  }
-  set_trace_context(prev_ctx);
+  QuorumCall<ReadRequest>::start(*this, msg, std::move(decoded).value());
 }
 
-void SednaNode::read_repair(const WriteRequest& req,
+void SednaNode::read_repair(const std::string& key, const ReadReply& answer,
                             const std::vector<NodeId>& stale) {
   metrics_.counter("coordinator.read_repairs").add(1);
+  const WriteRequest req = copy_write(key, answer, now());
   // The repair span closes when the last stale replica has been pushed,
   // so its duration covers the backfill round trips.
   const SpanId span = begin_span("coord.read_repair", TraceStage::kRepair);
   const TraceContext prev = enter_span(span);
-  const std::string payload = req.encode();
   auto remaining = std::make_shared<std::size_t>(stale.size());
-  for (NodeId node : stale) {
-    if (node == id()) {
-      apply_write(req);
-      if (--*remaining == 0) end_span(span);
-    } else {
-      call(node, kMsgReplicaWrite, payload,
-           [this, span, remaining](const Status&, const std::string&) {
-             if (--*remaining == 0) end_span(span);
-           });
-    }
-  }
+  fan_out(
+      *this, stale, kMsgReplicaWrite, req.encode(), config().rpc_timeout_us,
+      0,
+      [&] {
+        apply_write(req);
+        if (--*remaining == 0) end_span(span);
+      },
+      [&](NodeId) {
+        return [this, span, remaining](const Status&, const std::string&) {
+          if (--*remaining == 0) end_span(span);
+        };
+      });
   set_trace_context(prev);
 }
 
@@ -1506,12 +1059,11 @@ void SednaNode::append_change_journal(VnodeId vnode, NodeId owner,
 
 void SednaNode::handle_fetch_vnode(const sim::Message& msg) {
   auto req = FetchVnodeRequest::decode(msg.payload);
-  FetchVnodeReply rep;
   if (!req.ok() || !ready_) {
-    rep.status = StatusCode::kUnavailable;
-    reply(msg, rep.encode());
+    refuse<FetchVnodeReply>(msg, StatusCode::kUnavailable);
     return;
   }
+  FetchVnodeReply rep;
   rep.items = vnode_items(req->vnode, nullptr);
   metrics_.counter("transfer.vnodes_served").add(1);
   metrics_.counter("transfer.items_served").add(rep.items.size());
@@ -1520,12 +1072,11 @@ void SednaNode::handle_fetch_vnode(const sim::Message& msg) {
 
 void SednaNode::handle_scan(const sim::Message& msg) {
   auto req = ScanRequest::decode(msg.payload);
-  ScanReply rep;
   if (!req.ok() || !ready_) {
-    rep.status = StatusCode::kUnavailable;
-    reply(msg, rep.encode());
+    refuse<ScanReply>(msg, StatusCode::kUnavailable);
     return;
   }
+  ScanReply rep;
   // Report only keys whose primary vnode we own: the client scatters to
   // every node, so replica copies must not triple the result set.
   const auto& table = metadata_.table();
@@ -1683,8 +1234,10 @@ std::string hint_dedupe_key(const WriteRequest& req) {
 
 }  // namespace
 
-void SednaNode::queue_hint(NodeId target, const WriteRequest& req) {
+void SednaNode::queue_hint(NodeId target, const WriteRequest& req,
+                           SimTime accepted_at) {
   if (config_.hint_max_queued == 0 || target == id()) return;
+  const std::uint64_t expires_at = req.ttl == 0 ? 0 : accepted_at + req.ttl;
   {
     HintQueue& q = hint_queues_[target];
     auto it = q.hints.find(hint_dedupe_key(req));
@@ -1697,6 +1250,7 @@ void SednaNode::queue_hint(NodeId target, const WriteRequest& req) {
         it->second.write.record.merge(req.record);
       } else if (req.ts > it->second.write.ts) {
         it->second.write = req;
+        it->second.expires_at = expires_at;
       }
       return;
     }
@@ -1706,6 +1260,7 @@ void SednaNode::queue_hint(NodeId target, const WriteRequest& req) {
   if (hints_pending_ >= config_.hint_max_queued) evict_oldest_hint();
   PendingHint hint;
   hint.write = req;
+  hint.expires_at = expires_at;
   hint.queued_at = now();
   hint.seq = hint_seq_++;
   hint_queues_[target].hints.emplace(hint_dedupe_key(req), std::move(hint));
@@ -1797,8 +1352,10 @@ void SednaNode::replay_hints_to(NodeId target) {
   auto outstanding = std::make_shared<std::size_t>(batch.size());
   auto failures = std::make_shared<std::uint32_t>(0);
   for (const auto& key : batch) {
+    const PendingHint& hint = q.hints.at(key);
     HintDeliverRequest req;
-    req.write = q.hints.at(key).write;
+    req.write = hint.write;
+    req.write.ttl = ttl_left(hint.expires_at, now());
     call(target, kMsgHintDeliver, req.encode(),
          [this, target, key, outstanding, failures](const Status& st,
                                                     const std::string& body) {
@@ -1859,7 +1416,7 @@ void SednaNode::handle_hint_deliver(const sim::Message& msg) {
     rep.status = apply_write(req->write);
     metrics_.counter("replica.hints_received").add(1);
   }
-  instant_span("replica.hint_apply", std::string(to_string(rep.status)),
+  instant_span("replica.hint_apply", to_string(rep.status),
                TraceStage::kHintReplay);
   reply(msg, rep.encode());
 }
@@ -2004,9 +1561,7 @@ void SednaNode::pull_key(NodeId peer, const std::string& key, bool want_list,
            const Status& st, const std::string& body) {
          auto rep = st.ok() ? ReadReply::decode(body) : Result<ReadReply>(st);
          if (rep.ok() && (want_causal ? rep->has_causal : rep->has_latest) &&
-             apply_copy(want_causal ? causal_write(key, rep->causal)
-                                    : latest_write(key, rep->latest,
-                                                   rep->expires_at, now()))) {
+             apply_copy(copy_write(key, *rep, now()))) {
            metrics_.counter("antientropy.keys_pulled").add(1);
          }
          if (!want_list) {
@@ -2357,12 +1912,11 @@ void SednaNode::migration_catchup(VnodeId vnode, NodeId from,
 
 void SednaNode::handle_vnode_digest(const sim::Message& msg) {
   auto req = VnodeDigestRequest::decode(msg.payload);
-  VnodeDigestReply rep;
   if (!req.ok() || !ready_ || !store_->digests_enabled()) {
-    rep.status = StatusCode::kUnavailable;
-    reply(msg, rep.encode());
+    refuse<VnodeDigestReply>(msg, StatusCode::kUnavailable);
     return;
   }
+  VnodeDigestReply rep;
   metrics_.counter("antientropy.digest_serves").add(1);
   const auto local = store_->digest_buckets(req->vnode);
   if (local.size() == req->buckets.size() &&

@@ -6,9 +6,11 @@
 //   * ZkClient + MetadataCache — session, ephemeral registration, cached
 //                             vnode table with adaptive-lease journal sync;
 //   * quorum coordinator    — the node fields client requests for keys
-//                             whose primary vnode it owns, fans them out
-//                             to the N replicas and applies the R/W rules
-//                             of Section III.C;
+//                             whose primary vnode it owns; one QuorumCall
+//                             (cluster/quorum_call.h) fans each out to the
+//                             N replicas and settles it by the R/W rule of
+//                             Section III.C, one pure settle rule per mode
+//                             (write, latest, causal, value list);
 //   * failure detector + recovery — a replica timeout makes the
 //                             coordinator check the ephemeral znode; if
 //                             gone, it CASes the vnode to a new owner,
@@ -110,6 +112,9 @@ struct SednaNodeConfig {
   zk::ZkClientConfig zk_client;  // ensemble is filled from zk_ensemble
   sim::HostConfig host;
 };
+
+template <class Request>
+class QuorumCall;
 
 class SednaNode : public sim::Host {
  public:
@@ -214,7 +219,10 @@ class SednaNode : public sim::Host {
   void on_shed(const sim::Message& msg, sim::ShedReason reason) override;
 
  private:
-  // Coordinator paths.
+  template <class Request>
+  friend class QuorumCall;
+
+  // Coordinator paths: validate the request, then run it as a QuorumCall.
   void handle_client_write(const sim::Message& msg);
   void handle_client_read(const sim::Message& msg);
   // Replica paths.
@@ -247,6 +255,16 @@ class SednaNode : public sim::Host {
   /// moved local state.
   bool apply_copy(const WriteRequest& w);
   [[nodiscard]] ReadReply local_read(const ReadRequest& req);
+  /// This node's traffic counters for `key`'s vnode (nullptr until the
+  /// metadata is loaded), shared by local writes and reads.
+  ring::VnodeStatus* vnode_traffic(const std::string& key);
+  /// Answers request `msg` with a bare `Reply` carrying `code`.
+  template <class Reply>
+  void refuse(const sim::Message& msg, StatusCode code) {
+    Reply rep;
+    rep.status = code;
+    reply(msg, rep.encode());
+  }
 
   /// Failure evidence from the data path: verify via ZooKeeper and kick
   /// off recovery if the node is really gone (Section III.C).
@@ -254,10 +272,12 @@ class SednaNode : public sim::Host {
   void start_recovery(VnodeId vnode, NodeId dead);
   void finish_recovery(VnodeId vnode);
 
-  /// Read repair: push the answer (the freshest value, or the joined
-  /// causal record, which replicas fold in with a semilattice merge) to
-  /// replicas that answered with stale or missing data.
-  void read_repair(const WriteRequest& req, const std::vector<NodeId>& stale);
+  /// Read repair: push a read's positive `answer` (the freshest value,
+  /// or the joined causal record, which replicas fold in with a
+  /// semilattice merge) to replicas that answered with stale or missing
+  /// data.
+  void read_repair(const std::string& key, const ReadReply& answer,
+                   const std::vector<NodeId>& stale);
 
   /// Restart hydration: re-fetch every owned vnode slice (8 at a time),
   /// then invoke done. Best effort — unreachable slices are left to read
@@ -297,6 +317,9 @@ class SednaNode : public sim::Host {
   // ---- Hinted handoff ----------------------------------------------------
   struct PendingHint {
     WriteRequest write;
+    /// Absolute expiry of `write` (0 = never): replay sends the lifetime
+    /// left, so the hinted copy keeps the original deadline.
+    std::uint64_t expires_at = 0;
     SimTime queued_at = 0;
     std::uint64_t seq = 0;  // arrival order, for oldest-first eviction
   };
@@ -310,8 +333,11 @@ class SednaNode : public sim::Host {
     SpanId replay_span = 0;
   };
 
-  /// Queues (or upgrades) a hint after a replica write RPC failed.
-  void queue_hint(NodeId target, const WriteRequest& req);
+  /// Queues (or upgrades) a hint after a replica write RPC failed;
+  /// `accepted_at` is when the coordinator took the write, which starts
+  /// its TTL.
+  void queue_hint(NodeId target, const WriteRequest& req,
+                  SimTime accepted_at);
   void evict_oldest_hint();
   void bump_hint_backoff(HintQueue& q);
   /// Daemon tick: for each due target, check its ephemeral znode and

@@ -37,6 +37,7 @@
 #include <deque>
 #include <functional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 
@@ -230,13 +231,13 @@ class Host {
   void set_trace_context(TraceContext ctx) { trace_ctx_ = ctx; }
 
   /// Opens a fresh trace rooted at this host and makes it current.
-  TraceContext begin_trace(const std::string& name,
+  TraceContext begin_trace(std::string_view name,
                            TraceStage stage = TraceStage::kUnknown) {
     trace_ctx_ = tracer().start_trace(name, id_, now(), stage);
     return trace_ctx_;
   }
   /// Child span of the current context. Does not change the context.
-  SpanId begin_span(const std::string& name,
+  SpanId begin_span(std::string_view name,
                     TraceStage stage = TraceStage::kUnknown) {
     return tracer().begin(trace_ctx_, name, id_, now(), stage);
   }
@@ -247,12 +248,11 @@ class Host {
     if (span != 0) trace_ctx_ = TraceContext{prev.trace_id, span};
     return prev;
   }
-  void end_span(SpanId span, const std::string& status = "ok") {
+  void end_span(SpanId span, std::string_view status = "ok") {
     tracer().end(span, now(), status);
   }
   /// Zero-duration annotation under the current context.
-  void instant_span(const std::string& name,
-                    const std::string& status = "ok",
+  void instant_span(std::string_view name, std::string_view status = "ok",
                     TraceStage stage = TraceStage::kUnknown) {
     tracer().instant(trace_ctx_, name, id_, now(), status, stage);
   }

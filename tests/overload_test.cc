@@ -159,7 +159,11 @@ std::size_t node_index(SednaCluster& cluster, NodeId id) {
   return 0;
 }
 
-TEST(RetryBudget, ExhaustedBudgetFailsFastWithOverloaded) {
+/// Reads and writes share one client attempt loop: both must fail fast
+/// once the budget is spent. The parameter is true for writes.
+class RetryBudgetOp : public ::testing::TestWithParam<bool> {};
+
+TEST_P(RetryBudgetOp, ExhaustedBudgetFailsFastWithOverloaded) {
   SednaClusterConfig cfg = small_config();
   cfg.client_template.retry_budget_capacity = 2.0;
   cfg.client_template.retry_budget_refill = 0.0;  // no refill: finite fuse
@@ -170,24 +174,34 @@ TEST(RetryBudget, ExhaustedBudgetFailsFastWithOverloaded) {
   ASSERT_TRUE(cluster.write_latest(client, "budgeted", "v").ok());
   cluster.run_for(sim_ms(50));
 
-  // Crash the key's primary: every read now needs exactly one retry.
+  // Crash the key's primary: every op now needs exactly one retry.
   const auto replicas =
       cluster.node(0).metadata().table().replicas_for_key("budgeted");
   ASSERT_EQ(replicas.size(), 3u);
   cluster.crash_node(node_index(cluster, replicas[0]));
+  const bool writes = GetParam();
+  auto op = [&]() -> Status {
+    if (writes) return cluster.write_latest(client, "budgeted", "v2");
+    return cluster.read_latest(client, "budgeted").status();
+  };
 
-  // Two tokens → two reads ride out the dead primary...
-  EXPECT_TRUE(cluster.read_latest(client, "budgeted").ok());
-  EXPECT_TRUE(cluster.read_latest(client, "budgeted").ok());
+  // Two tokens → two ops ride out the dead primary...
+  EXPECT_TRUE(op().ok());
+  EXPECT_TRUE(op().ok());
   // ...the third wants a retry with an empty bucket and fails fast.
-  const auto third = cluster.read_latest(client, "budgeted");
+  const Status third = op();
   EXPECT_FALSE(third.ok());
-  EXPECT_EQ(third.status().code(), StatusCode::kOverloaded);
+  EXPECT_EQ(third.code(), StatusCode::kOverloaded);
   const auto& counters = client.metrics().counters();
   const auto it = counters.find("node.shed.retry_budget");
   ASSERT_NE(it, counters.end());
   EXPECT_GE(it->second.value(), 1u);
 }
+
+INSTANTIATE_TEST_SUITE_P(Ops, RetryBudgetOp, ::testing::Values(false, true),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return std::string(info.param ? "write" : "read");
+                         });
 
 TEST(RetryBudget, SuccessesRefillTheBucket) {
   SednaClusterConfig cfg = small_config();

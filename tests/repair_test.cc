@@ -500,6 +500,32 @@ TEST(TtlRepair, ReadRepairedReplicaKeepsTheDeadline) {
   EXPECT_EQ(replicas_holding(cluster, key, "short-lived"), 0u);
 }
 
+TEST(TtlRepair, HintedReplicaKeepsTheDeadline) {
+  SednaClusterConfig cfg = base_config();
+  cfg.node_template.anti_entropy_interval = 0;  // isolate hinted handoff
+  SednaCluster cluster(cfg);
+  ASSERT_TRUE(cluster.boot().ok());
+  auto& client = cluster.make_client();
+  const std::string key = "session/hinted";
+  const auto replicas =
+      cluster.node(0).metadata().table().replicas_for_key(key);
+  cluster.network().partition(replicas[2], replicas[0]);
+  cluster.network().partition(replicas[2], replicas[1]);
+  write_ttl(cluster, client, key, sim_sec(5));
+
+  // The hint waits out the partition, then lands well inside the TTL.
+  cluster.run_for(sim_sec(3));
+  cluster.network().heal_all();
+  cluster.run_for(sim_sec(1));
+  ASSERT_EQ(replicas_holding(cluster, key, "short-lived"), 3u);
+  EXPECT_GE(sum_counter(cluster, "coordinator.hints_delivered"), 1u);
+
+  // The replayed copy must expire with the originals, not a hint delay
+  // later.
+  cluster.run_for(sim_sec(2));
+  EXPECT_EQ(replicas_holding(cluster, key, "short-lived"), 0u);
+}
+
 TEST(TtlRepair, AntiEntropyCopyKeepsTheDeadline) {
   SednaClusterConfig cfg = base_config();
   cfg.node_template.hint_max_queued = 0;  // isolate the Merkle path
